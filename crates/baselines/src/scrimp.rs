@@ -88,7 +88,8 @@ impl WriteBasedSng {
     }
 
     /// Generates directly into an array row, programming real cells (the
-    /// full endurance cost is visible on the array counters).
+    /// endurance cost is visible on the row's wear: one tick for the
+    /// reset plus one per SET pulse).
     ///
     /// # Errors
     ///
@@ -156,13 +157,17 @@ mod tests {
     fn array_generation_burns_endurance() {
         let mut sng = WriteBasedSng::new(4);
         let mut array = CrossbarArray::pristine(2, 128, 5);
-        sng.generate_into(&mut array, 0, Fixed::from_u8(128))
+        let bits = sng
+            .generate_into(&mut array, 0, Fixed::from_u8(128))
             .expect("row in range");
-        // One reset row-write plus per-bit SET events: the hotspot cell
-        // has seen multiple programs while read-based IMSNG would have
+        // One reset row-write plus one SET pulse per 1-bit: the row has
+        // been programmed many times while read-based IMSNG would have
         // programmed the stream row exactly once.
-        assert!(array.row_writes() >= 1);
-        assert!(array.max_cell_writes() >= 2);
+        assert_eq!(array.row_writes(), 1);
+        let wear = array.row_wear(0).expect("row in range");
+        assert!(wear >= 2);
+        assert_eq!(wear, 1 + bits.count_ones());
+        assert_eq!(array.row_wear(1).expect("row in range"), 0);
     }
 
     #[test]

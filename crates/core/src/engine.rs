@@ -524,8 +524,8 @@ impl Accelerator {
             }
             let key = x.requantize(m)?;
             if let Some((stream, cost)) = self.encode_cache.get(&key) {
-                let (stream, cost) = (stream.clone(), *cost);
-                self.array.write_row(dest, &stream)?;
+                self.array.write_row(dest, stream)?;
+                let cost = *cost;
                 // The modeled hardware still runs the full comparison
                 // schedule; keep the scouting-op counter faithful to it.
                 self.sl.note_ops(u64::from(m));

@@ -44,7 +44,7 @@
 //! collision: the caller compiles the tile from scratch and does *not*
 //! replace the entry. Surfaced as the `fallbacks` count in run stats.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use super::opt::{optimize, Optimize};
@@ -691,9 +691,14 @@ struct BoundSlot {
     used: u64,
 }
 
+/// One in-flight compile: the leader fills it (`None` when its compile
+/// failed); callers that missed on the same key meanwhile wait on it.
+type Flight = Arc<OnceLock<Option<Arc<Template>>>>;
+
 struct CacheInner {
     map: FxHashMap<TemplateKey, Entry>,
     bound: FxHashMap<BoundKey, BoundSlot>,
+    inflight: FxHashMap<TemplateKey, Flight>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -746,6 +751,7 @@ impl PlanCache {
             inner: Mutex::new(CacheInner {
                 map: FxHashMap::default(),
                 bound: FxHashMap::default(),
+                inflight: FxHashMap::default(),
                 tick: 0,
                 hits: 0,
                 misses: 0,
@@ -786,57 +792,71 @@ impl PlanCache {
         }
     }
 
-    /// Looks up a template, refreshing its LRU position.
-    #[must_use]
-    pub fn lookup(&self, key: &TemplateKey) -> Option<Arc<Template>> {
-        let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.map.get_mut(key) {
-            Some(entry) => {
-                entry.used = tick;
-                let t = Arc::clone(&entry.template);
+    /// Looks up `key` and, on a miss, compiles it at most once across
+    /// concurrent callers (single-flight): the first caller to miss runs
+    /// `compile` and inserts the result; callers that miss on the same
+    /// key while it runs wait for that template instead of compiling a
+    /// duplicate. Returns the template and whether the call was a hit —
+    /// waiters count as hits, so hit/miss counts do not depend on thread
+    /// interleaving.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `compile` returns. A waiter whose leader's compile failed
+    /// compiles for itself (and counts as a miss).
+    pub fn lookup_or_compile<E>(
+        &self,
+        key: TemplateKey,
+        compile: impl FnOnce() -> Result<Arc<Template>, E>,
+    ) -> Result<(Arc<Template>, bool), E> {
+        let flight = {
+            let mut inner = self.lock();
+            if let Some(template) = inner.touch(&key) {
                 inner.hits += 1;
-                Some(t)
+                return Ok((template, true));
             }
-            None => {
-                inner.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Inserts (or replaces) a template, evicting the least-recently
-    /// used entry if the cache is full.
-    pub fn insert(&self, key: TemplateKey, template: Arc<Template>) {
+            Arc::clone(inner.inflight.entry(key.clone()).or_default())
+        };
+        let mut compile = Some(compile);
+        let mut failed = None;
+        let shared = flight.get_or_init(|| {
+            let compile = compile.take().expect("the leader compiles once");
+            compile().map_err(|e| failed = Some(e)).ok()
+        });
         let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        if !inner.map.contains_key(&key) && inner.map.len() >= self.capacity {
-            if let Some(victim) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.used)
-                .map(|(k, _)| k.clone())
-            {
-                inner.map.remove(&victim);
-                inner.evictions += 1;
+        if compile.is_none() {
+            inner.inflight.remove(&key);
+        }
+        match (shared, compile) {
+            (Some(template), None) => {
+                inner.misses += 1;
+                inner.insert(key, Arc::clone(template), self.capacity);
+                Ok((Arc::clone(template), false))
+            }
+            (Some(template), Some(_)) => {
+                inner.hits += 1;
+                Ok((Arc::clone(template), true))
+            }
+            (None, None) => {
+                inner.misses += 1;
+                Err(failed.expect("a failed leader recorded its error"))
+            }
+            (None, Some(compile)) => {
+                inner.misses += 1;
+                drop(inner);
+                let template = compile()?;
+                self.lock()
+                    .insert(key, Arc::clone(&template), self.capacity);
+                Ok((template, false))
             }
         }
-        inner.map.insert(
-            key,
-            Entry {
-                template,
-                used: tick,
-            },
-        );
     }
 
     /// Looks up a fully-bound fast-path entry, refreshing its LRU
     /// position. A hit counts as a cache hit; a miss is *not* counted
-    /// here — the [`PlanCache::lookup`] the caller falls back to is the
-    /// lookup of record, so each tile contributes exactly one counted
-    /// outcome.
+    /// here — the [`PlanCache::lookup_or_compile`] the caller falls back
+    /// to is the lookup of record, so each tile contributes exactly one
+    /// counted outcome.
     #[must_use]
     pub fn lookup_bound(&self, key: &BoundKey) -> Option<Arc<BoundEntry>> {
         let mut inner = self.lock();
@@ -877,6 +897,40 @@ impl PlanCache {
         self.inner
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+}
+
+impl CacheInner {
+    /// The template under `key`, refreshing its LRU position.
+    fn touch(&mut self, key: &TemplateKey) -> Option<Arc<Template>> {
+        self.tick += 1;
+        let tick = self.tick;
+        let entry = self.map.get_mut(key)?;
+        entry.used = tick;
+        Some(Arc::clone(&entry.template))
+    }
+
+    fn insert(&mut self, key: TemplateKey, template: Arc<Template>, capacity: usize) {
+        self.tick += 1;
+        let tick = self.tick;
+        if !self.map.contains_key(&key) && self.map.len() >= capacity {
+            if let Some(victim) = self
+                .map
+                .iter()
+                .min_by_key(|(_, e)| e.used)
+                .map(|(k, _)| k.clone())
+            {
+                self.map.remove(&victim);
+                self.evictions += 1;
+            }
+        }
+        self.map.insert(
+            key,
+            Entry {
+                template,
+                used: tick,
+            },
+        );
     }
 }
 
@@ -979,34 +1033,91 @@ mod tests {
         assert!(matches!(err, Err(ImscError::InvalidConfig(_))));
     }
 
-    #[test]
-    fn lru_evicts_least_recently_used() {
-        let cache = PlanCache::with_capacity(2);
-        let key = |n: u64| TemplateKey {
+    fn key(n: u64) -> TemplateKey {
+        TemplateKey {
             kernel: "test",
             structure: n,
             level: Optimize::Off,
             policy: RnRefreshPolicy::PerEncode,
             substrate: 0,
             values: 0,
+        }
+    }
+
+    fn tpl(v: u8) -> Arc<Template> {
+        let mut p = Program::new();
+        let x = p.encode(Fixed::from_u8(v));
+        p.read(x);
+        Arc::new(Template::compile(p, Optimize::Off, RnRefreshPolicy::PerEncode).unwrap())
+    }
+
+    #[test]
+    fn lru_evicts_least_recently_used() {
+        let cache = PlanCache::with_capacity(2);
+        // Resolves key `n`, compiling on a miss; returns whether it hit.
+        let get = |n: u8| {
+            let compile = || Ok::<_, ()>(tpl(n));
+            cache
+                .lookup_or_compile(key(u64::from(n)), compile)
+                .unwrap()
+                .1
         };
-        let tpl = |v: u8| {
-            let mut p = Program::new();
-            let x = p.encode(Fixed::from_u8(v));
-            p.read(x);
-            Arc::new(Template::compile(p, Optimize::Off, RnRefreshPolicy::PerEncode).unwrap())
-        };
-        cache.insert(key(1), tpl(1));
-        cache.insert(key(2), tpl(2));
+        assert!(!get(1));
+        assert!(!get(2));
         // Touch 1 so 2 becomes the LRU victim.
-        assert!(cache.lookup(&key(1)).is_some());
-        cache.insert(key(3), tpl(3));
+        assert!(get(1));
+        assert!(!get(3));
         assert_eq!(cache.len(), 2);
-        assert!(cache.lookup(&key(1)).is_some());
-        assert!(cache.lookup(&key(2)).is_none());
-        assert!(cache.lookup(&key(3)).is_some());
+        assert!(get(1));
+        assert!(get(3));
         let stats = cache.stats();
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.capacity, 2);
+        assert!(!get(2), "2 was evicted");
+    }
+
+    #[test]
+    fn concurrent_misses_on_one_key_compile_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let cache = PlanCache::new();
+        let compiles = AtomicUsize::new(0);
+        let start = std::sync::Barrier::new(4);
+        let hits: Vec<bool> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        let compile = || {
+                            compiles.fetch_add(1, Ordering::SeqCst);
+                            std::thread::sleep(std::time::Duration::from_millis(20));
+                            Ok::<_, ImscError>(tpl(1))
+                        };
+                        cache.lookup_or_compile(key(1), compile).unwrap().1
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert_eq!(compiles.load(Ordering::SeqCst), 1);
+        assert_eq!(hits.iter().filter(|&&hit| !hit).count(), 1);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.len), (3, 1, 1));
+    }
+
+    #[test]
+    fn a_failed_compile_is_not_cached() {
+        let cache = PlanCache::new();
+        let failed = cache.lookup_or_compile(key(2), || Err::<Arc<Template>, _>("no"));
+        assert_eq!(failed.unwrap_err(), "no");
+        assert!(cache.is_empty());
+        let (_, hit) = cache
+            .lookup_or_compile(key(2), || Ok::<_, ()>(tpl(2)))
+            .unwrap();
+        assert!(!hit);
+        let (_, hit) = cache
+            .lookup_or_compile(key(2), || Ok::<_, ()>(tpl(3)))
+            .unwrap();
+        assert!(hit);
+        assert_eq!(cache.stats().misses, 2);
     }
 }

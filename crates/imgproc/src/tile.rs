@@ -357,9 +357,13 @@ fn compile_tile<E: TileEmitter>(
 /// the template key either reuses the resident template (hit),
 /// compiles-and-inserts (miss), or compiles without inserting
 /// (hash-collision fallback); the resolved pair is then registered
-/// under the digest for the frames that follow. Tape, digest and
-/// lookup cost land in `stats.bind_ns`; miss/fallback compilation in
-/// the emit/optimize/plan fields.
+/// under the digest for the frames that follow. Compiles are
+/// single-flight per key ([`PlanCache::lookup_or_compile`]): a tile
+/// that misses while another tile compiles the same key waits for it
+/// and counts as a hit, so the counters never depend on thread
+/// interleaving. Tape, digest, lookup and any such wait land in
+/// `stats.bind_ns`; miss and fallback compilation in the emit, optimize
+/// and plan fields.
 fn cached_template<E: TileEmitter>(
     cache: &PlanCache,
     emitter: &E,
@@ -402,21 +406,21 @@ fn cached_template<E: TileEmitter>(
             0
         },
     };
-    let found = cache.lookup(&key);
-    stats.bind_ns += t0.elapsed().as_nanos() as u64;
-    let (tpl, outcome) = match found {
-        Some(tpl) if tpl.accepts(&tape) => (tpl, CacheOutcome::Hit),
+    let mut compiled = CompileStats::default();
+    let resolved = cache.lookup_or_compile(key, || {
+        compile_tile(emitter, rows.clone(), opt, &mut compiled)
+    });
+    stats.bind_ns += (t0.elapsed().as_nanos() as u64).saturating_sub(compiled.total_ns());
+    stats.merge(&compiled);
+    let (tpl, outcome) = match resolved? {
+        (tpl, false) => (tpl, CacheOutcome::Miss),
+        (tpl, true) if tpl.accepts(&tape) => (tpl, CacheOutcome::Hit),
         // 64-bit hash collision: compile this tile from scratch and
         // leave the resident entry alone.
-        Some(_) => (
+        (_, true) => (
             compile_tile(emitter, rows, opt, stats)?,
             CacheOutcome::Fallback,
         ),
-        None => {
-            let tpl = compile_tile(emitter, rows, opt, stats)?;
-            cache.insert(key, Arc::clone(&tpl));
-            (tpl, CacheOutcome::Miss)
-        }
     };
     // The pair is correct for this digest on every outcome (fallbacks
     // included — the template was compiled from this very tile), so the

@@ -19,7 +19,8 @@
 //! lazily on first analog access and kept in sync by differential writes
 //! afterwards, so fault-rate derivation ([`crate::vcm`]) sees the same
 //! lognormal variability model as before while purely digital workloads
-//! never pay for it.
+//! never pay for it. Per-bit write work exists only to redraw that analog
+//! state; endurance is per-row wear, never per cell.
 
 use crate::cell::{read_current_from, sample_resistance, CellState, DeviceParams};
 use crate::error::ReramError;
@@ -29,8 +30,9 @@ use sc_core::BitStream;
 /// A 2-D grid of ReRAM cells with packed digital state and lazily drawn
 /// per-cell resistances.
 ///
-/// Reads and writes are counted for energy accounting and endurance
-/// studies. Digital reads are noiseless; the analog path
+/// Reads and writes are counted for energy accounting, and every row
+/// carries a wear count for endurance studies (one tick per wordline
+/// program pulse). Digital reads are noiseless; the analog path
 /// ([`CrossbarArray::column_current`]) includes read noise and HRS
 /// instability and feeds the scouting-logic sense model.
 #[derive(Debug, Clone)]
@@ -40,10 +42,6 @@ pub struct CrossbarArray {
     words_per_row: usize,
     /// Packed programmed states, row-major: bit = 1 ⇔ LRS.
     words: Vec<u64>,
-    /// Per-cell program counts (endurance accounting), row-major. Kept
-    /// at the old per-cell model's u64 width so long endurance studies
-    /// cannot wrap.
-    cell_writes: Vec<u64>,
     /// Per-cell drawn resistances, materialized on first analog access.
     resistances: Option<Vec<f64>>,
     params: DeviceParams,
@@ -53,7 +51,8 @@ pub struct CrossbarArray {
     /// Per-row write-operation counts (wear map for endurance-aware
     /// allocation): one tick per `write_row`, regardless of how many
     /// cells the differential write actually reprogrammed — the wordline
-    /// pulse stresses the whole row.
+    /// pulse stresses the whole row — and one per `write_bit` that flips
+    /// its cell.
     row_wear: Vec<u64>,
 }
 
@@ -83,7 +82,6 @@ impl CrossbarArray {
             cols,
             words_per_row,
             words: vec![0; rows * words_per_row],
-            cell_writes: vec![1; rows * cols],
             resistances: None,
             params,
             sampler: GaussianSampler::new(seed),
@@ -233,9 +231,9 @@ impl CrossbarArray {
 
     /// Writes a full row from a bit-stream (differential write: only cells
     /// whose value changes are reprogrammed, as the L0/L1 latch pair
-    /// implements in hardware). Runs word-at-a-time; per-cell bookkeeping
-    /// (endurance counters, analog resistance redraw) is only done for the
-    /// changed bits of each word.
+    /// implements in hardware) word-at-a-time: XOR, popcount, store, one
+    /// tick of row wear. Per-bit work runs only to redraw the flipped cells'
+    /// resistances once analog state is materialized.
     ///
     /// Returns the number of cells actually reprogrammed.
     ///
@@ -257,23 +255,17 @@ impl CrossbarArray {
         let cell_base = row * self.cols;
         let mut changed = 0usize;
         for (w, &new) in data.as_words().iter().enumerate() {
-            let old = self.words[base + w];
-            let mut diff = old ^ new;
-            if diff == 0 {
-                continue;
-            }
+            let mut diff = self.words[base + w] ^ new;
             changed += diff.count_ones() as usize;
             self.words[base + w] = new;
-            // Per-cell bookkeeping only for the flipped bits.
-            while diff != 0 {
-                let bit = diff.trailing_zeros() as usize;
-                diff &= diff - 1;
-                let col = w * 64 + bit;
-                let i = cell_base + col;
-                self.cell_writes[i] += 1;
-                if let Some(res) = self.resistances.as_mut() {
+            // Analog redraw only for the flipped bits.
+            if let Some(res) = self.resistances.as_mut() {
+                while diff != 0 {
+                    let bit = diff.trailing_zeros() as usize;
+                    diff &= diff - 1;
                     let state = CellState::from_bool(new >> bit & 1 == 1);
-                    res[i] = sample_resistance(state, &self.params, &mut self.sampler);
+                    res[cell_base + w * 64 + bit] =
+                        sample_resistance(state, &self.params, &mut self.sampler);
                 }
             }
         }
@@ -308,7 +300,8 @@ impl CrossbarArray {
         Ok((self.words[w] >> (col % 64)) & 1 == 1)
     }
 
-    /// Writes a single cell.
+    /// Writes a single cell. A real flip pulses the wordline and ticks the
+    /// row's wear; writing the value already stored is a no-op.
     ///
     /// # Errors
     ///
@@ -323,8 +316,8 @@ impl CrossbarArray {
             return Ok(());
         }
         self.words[w] ^= mask;
+        self.row_wear[row] += 1;
         let i = self.idx(row, col);
-        self.cell_writes[i] += 1;
         if let Some(res) = self.resistances.as_mut() {
             res[i] = sample_resistance(CellState::from_bool(bit), &self.params, &mut self.sampler);
         }
@@ -360,12 +353,6 @@ impl CrossbarArray {
             );
         }
         Ok(total)
-    }
-
-    /// The maximum per-cell write count in the array (endurance hotspot).
-    #[must_use]
-    pub fn max_cell_writes(&self) -> u64 {
-        self.cell_writes.iter().copied().max().unwrap_or(0)
     }
 }
 
@@ -430,7 +417,7 @@ mod tests {
         a.read_row(1).unwrap();
         assert_eq!(a.row_writes(), 1);
         assert_eq!(a.row_reads(), 2);
-        assert!(a.max_cell_writes() >= 2); // initial program + write
+        assert_eq!(a.wear(), &[1, 0]);
     }
 
     #[test]
@@ -451,6 +438,52 @@ mod tests {
         a.write_bit(0, 3, true).unwrap();
         assert!(a.read_bit(0, 3).unwrap());
         assert!(!a.read_bit(0, 2).unwrap());
+    }
+
+    #[test]
+    fn write_bit_ticks_wear_only_on_a_real_flip() {
+        let mut a = CrossbarArray::pristine(2, 8, 12);
+        for (col, bit) in [(3, false), (3, true), (3, true), (5, true), (3, false)] {
+            a.write_bit(1, col, bit).unwrap();
+        }
+        assert_eq!(a.wear(), &[0, 3]); // the two no-op writes programmed nothing
+        assert_eq!(a.row_writes(), 0);
+        // Only col 5 of row 1 holds a 1; no neighbour or other row changed.
+        assert_eq!(a.row_words(1).unwrap(), &[1 << 5]);
+        assert_eq!(a.row_words(0).unwrap(), &[0]);
+    }
+
+    #[test]
+    fn digital_writes_never_materialize_analog_state() {
+        let mut a = CrossbarArray::pristine(4, 200, 13);
+        for i in 0..32 {
+            a.write_row(i % 4, &BitStream::from_fn(200, |c| (c * 7 + i) % 5 < 2))
+                .unwrap();
+            a.read_row(i % 4).unwrap();
+        }
+        assert!(!a.analog_materialized());
+        assert_eq!(a.wear(), &[8, 8, 8, 8]);
+    }
+
+    #[test]
+    fn analog_write_redraws_exactly_the_flipped_cells() {
+        let (old, new) = (
+            |c: usize| c.is_multiple_of(3),
+            |c: usize| c.is_multiple_of(2),
+        );
+        let mut a = CrossbarArray::pristine(2, 130, 14);
+        a.write_row(0, &BitStream::from_fn(130, old)).unwrap();
+        a.column_current(&[0], 0).unwrap();
+        let before = a.resistances.clone().unwrap();
+        a.write_row(0, &BitStream::from_fn(130, new)).unwrap();
+        for (i, (b, n)) in before
+            .iter()
+            .zip(a.resistances.as_ref().unwrap())
+            .enumerate()
+        {
+            let flipped = i < 130 && old(i) != new(i);
+            assert_eq!(b != n, flipped, "cell ({}, {})", i / 130, i % 130);
+        }
     }
 
     #[test]

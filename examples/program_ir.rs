@@ -102,17 +102,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             substrate: 0, // one fixed substrate in this demo
             values: 0,    // Off is value-safe: one template fits all values
         };
-        let tpl = match cache.lookup(&key) {
-            Some(t) => t,
-            None => {
-                // Compile path: re-emit into a real Program this once.
-                let mut p = Program::new();
-                emit_frame(&pixels, frame * 16, &mut p);
-                let t = Arc::new(Template::compile(p, key.level, key.policy)?);
-                cache.insert(key, Arc::clone(&t));
-                t
-            }
-        };
+        let (tpl, _) = cache.lookup_or_compile(key.clone(), || {
+            // Compile path (first frame only): re-emit into a real Program.
+            let mut p = Program::new();
+            emit_frame(&pixels, frame * 16, &mut p);
+            Template::compile(p, key.level, key.policy).map(Arc::new)
+        })?;
         let mut acc = Accelerator::builder()
             .stream_len(2048)
             .seed(7)
