@@ -21,7 +21,10 @@
 //! simulation mirrors the engine's runtime checks; any rewrite the
 //! engine would reject is rolled back through a blocked-register
 //! fixpoint, so `optimize` never turns a valid program into an invalid
-//! one.
+//! one. Each round of that fixpoint collects every violation of the
+//! candidate and pins all their blame cones at once, so a program with
+//! many independent violations (matting: one per `I == B` pixel) still
+//! settles in two rounds — one that pins, one that confirms.
 //!
 //! What each level does:
 //!
@@ -115,6 +118,11 @@ pub struct OptStats {
     /// definitions because an alias would have changed correlation
     /// groups illegally.
     pub aliases_blocked: usize,
+    /// Rewrite + legality-simulation rounds the fixpoint ran (1 when the
+    /// first rewrite was already legal, 0 at [`Optimize::Off`]). Every
+    /// round pins all the violations it finds, so this stays at one or
+    /// two however many independent violations a program has.
+    pub legality_rounds: usize,
 }
 
 /// Rewrites `program` at the given level, assuming it will execute under
@@ -132,29 +140,36 @@ pub fn optimize(
     level: Optimize,
     policy: RnRefreshPolicy,
 ) -> (Program, OptStats) {
-    let unchanged = |p: &Program| {
+    let unchanged = |p: &Program, rounds: usize| {
         let n = p.ops.len();
         (
             p.clone(),
             OptStats {
                 ops_before: n,
                 ops_after: n,
+                legality_rounds: rounds,
                 ..OptStats::default()
             },
         )
     };
     if level == Optimize::Off || program.ops.is_empty() {
-        return unchanged(program);
+        return unchanged(program, 0);
     }
     let realz = realizations(program, policy);
     let def_op = def_ops(program);
     let mut blocked = vec![false; program.regs];
     let mut blocked_count = 0usize;
     let mut allow_merge = true;
-    // Fixpoint over the blocked set: every round either passes the
-    // legality simulation or pins at least one more register, so this
-    // terminates within `regs` rounds (in practice one or two).
+    let mut rounds = 0usize;
+    // Fixpoint over the blocked set. Each round's legality simulation
+    // collects every violation at once, and each round either passes,
+    // gives up, drops batch fusion (at most once) or pins at least one
+    // more register, so this terminates within `regs + 2` rounds. A
+    // round only finds more work when pinning one alias exposes a
+    // violation the previous rewrite had hidden; the image kernels
+    // settle in at most two rounds.
     loop {
+        rounds += 1;
         let mut cand = rewrite(program, level, policy, &realz, &blocked);
         dce(program, level, policy, &realz, &mut cand);
         if allow_merge {
@@ -163,6 +178,7 @@ pub fn optimize(
         match check_groups(program, &cand, &def_op, &mut blocked) {
             Verdict::Legal => {
                 cand.stats.aliases_blocked = blocked_count;
+                cand.stats.legality_rounds = rounds;
                 return emit(program, &cand, level);
             }
             Verdict::Retry(grown) => blocked_count += grown,
@@ -173,7 +189,7 @@ pub fn optimize(
                 if allow_merge && cand.stats.encodes_merged > 0 {
                     allow_merge = false;
                 } else {
-                    return unchanged(program);
+                    return unchanged(program, rounds);
                 }
             }
         }
@@ -836,14 +852,30 @@ enum Verdict {
 /// ops with aliases resolved, mirroring `Accelerator`'s runtime checks:
 /// uncorrelated ops (multiply, adds) require distinct groups, correlated
 /// ops (abs-sub, min/max, divide, blend operands) one group, and a blend
-/// select a group distinct from its operands'. On a violation, every
-/// aliased register in the failing op's input cone is pinned and the
-/// rewrite retried.
+/// select a group distinct from its operands'.
+///
+/// One pass collects every violation: a failing op still gets the group
+/// the engine would give its result (fresh for divide/multiply/adds,
+/// operand `a`'s for the correlated ops), the simulation carries on, and
+/// every aliased register in each failing op's input cone is pinned.
+/// Independent violations (matting's `I == B` pixels, one per pixel)
+/// therefore settle in one round instead of one round each. The pass
+/// stops at the first violation whose cone pins nothing new: with
+/// nothing pinned this round no alias is left to blame
+/// ([`Verdict::Stuck`]); otherwise the next round's rewrite, under the
+/// registers pinned so far, may no longer contain that violation
+/// ([`Verdict::Retry`]).
 fn check_groups(p: &Program, cand: &Candidate, def_op: &[usize], blocked: &mut [bool]) -> Verdict {
     let mut group = vec![0u64; p.regs];
     // Fused batches share the group their merged single was assigned.
     let mut fused_group = vec![0u64; p.ops.len()];
     let mut next = 0u64;
+    let mut grown = 0usize;
+    // Blame-walk scratch shared by every violation of the pass:
+    // `seen[x] == epoch` marks a register visited by the current walk.
+    let mut seen = vec![0u32; p.regs];
+    let mut epoch = 0u32;
+    let mut queue: Vec<usize> = Vec::new();
     for i in 0..p.ops.len() {
         if cand.removed[i] {
             continue;
@@ -882,42 +914,27 @@ fn check_groups(p: &Program, cand: &Candidate, def_op: &[usize], blocked: &mut [
             Op::Multiply { dst, a, b }
             | Op::ScaledAdd { dst, a, b }
             | Op::ApproxAdd { dst, a, b } => {
-                if group[r(a)] == group[r(b)] {
-                    false
-                } else {
-                    next += 1;
-                    group[dst.index] = next;
-                    true
-                }
+                next += 1;
+                group[dst.index] = next;
+                group[r(a)] != group[r(b)]
             }
             Op::AbsSub { dst, a, b } | Op::Minimum { dst, a, b } | Op::Maximum { dst, a, b } => {
-                if group[r(a)] == group[r(b)] {
-                    group[dst.index] = group[r(a)];
-                    true
-                } else {
-                    false
-                }
+                group[dst.index] = group[r(a)];
+                group[r(a)] == group[r(b)]
             }
             Op::Divide { dst, a, b, .. } => {
-                if group[r(a)] == group[r(b)] {
-                    next += 1;
-                    group[dst.index] = next;
-                    true
-                } else {
-                    false
-                }
+                next += 1;
+                group[dst.index] = next;
+                group[r(a)] == group[r(b)]
             }
             Op::Complement { dst, a } => {
                 group[dst.index] = group[r(a)];
                 true
             }
             Op::Blend { dst, a, b, sel } => {
-                if group[r(a)] == group[r(b)] && group[r(sel)] != group[r(a)] {
-                    group[dst.index] = group[r(a)];
-                    true
-                } else {
-                    false
-                }
+                let ga = group[r(a)];
+                group[dst.index] = ga;
+                group[r(b)] == ga && group[r(sel)] != ga
             }
             Op::Read { .. } | Op::ReadConst { .. } => true,
         };
@@ -926,18 +943,18 @@ fn check_groups(p: &Program, cand: &Candidate, def_op: &[usize], blocked: &mut [
         }
         // Blame the cone: pin every aliased register feeding the failing
         // op. Blocking is monotone, so the fixpoint terminates.
-        let mut grown = 0usize;
-        let mut queue: Vec<usize> = op.uses().iter().flatten().map(|u| u.index).collect();
-        let mut seen = vec![false; p.regs];
+        epoch += 1;
+        let mut pinned = 0usize;
+        queue.extend(op.uses().iter().flatten().map(|u| u.index));
         while let Some(x) = queue.pop() {
-            if seen[x] {
+            if seen[x] == epoch {
                 continue;
             }
-            seen[x] = true;
+            seen[x] = epoch;
             if cand.alias[x] != x {
                 if !blocked[x] {
                     blocked[x] = true;
-                    grown += 1;
+                    pinned += 1;
                 }
             } else if def_op[x] != usize::MAX {
                 for u in p.ops[def_op[x]].uses().iter().flatten() {
@@ -945,13 +962,16 @@ fn check_groups(p: &Program, cand: &Candidate, def_op: &[usize], blocked: &mut [
                 }
             }
         }
-        return if grown > 0 {
-            Verdict::Retry(grown)
-        } else {
-            Verdict::Stuck
-        };
+        if pinned == 0 {
+            break;
+        }
+        grown += pinned;
     }
-    Verdict::Legal
+    match (grown, epoch) {
+        (0, 0) => Verdict::Legal,
+        (0, _) => Verdict::Stuck,
+        (n, _) => Verdict::Retry(n),
+    }
 }
 
 /// Whether an op pins a hoisting encode in place. Encodes never cross

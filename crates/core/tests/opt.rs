@@ -243,6 +243,53 @@ fn legality_fixpoint_blocks_group_breaking_alias() {
     assert_parity(&p, Optimize::Full, RnRefreshPolicy::Explicit, "legality");
 }
 
+/// Emits one matting pixel the way `imgproc::matting` does: a
+/// correlated `(I, B, F)` encode, `|I − B|`, `|F − B|`, CORDIV with the
+/// α̂ = 0 fallback, and a read.
+fn matting_pixel(p: &mut Program, i: u8, b: u8, fg: u8) {
+    let ibf = p.encode_correlated(&[f(i), f(b), f(fg)]);
+    let num = p.abs_subtract(ibf[0], ibf[1]);
+    let den = p.abs_subtract(ibf[2], ibf[1]);
+    let alpha = p.divide_or(num, den, 0.0);
+    p.read(alpha);
+}
+
+#[test]
+fn independent_violations_settle_in_two_rounds() {
+    // Every even pixel has I == B, so its numerator is a ⊕ a ≡ 0 and
+    // CSE aliases it to the previous such pixel's zero stream — another
+    // pixel's correlation group, which the divide rejects. That is one
+    // independent violation per even pixel after the first; a legality
+    // pass that stops at the first violation needs a rewrite round per
+    // violation (32 rounds here).
+    let mut p = Program::new();
+    for k in 0..64usize {
+        let b = (k * 37 + 11) as u8;
+        let i = if k % 2 == 0 {
+            b
+        } else {
+            b.wrapping_add(40 + (k % 5) as u8)
+        };
+        matting_pixel(&mut p, i, b, b.wrapping_add(96));
+    }
+    let policy = RnRefreshPolicy::EveryN(8);
+    let (_, stats) = optimize(&p, Optimize::Full, policy);
+    assert!(
+        stats.legality_rounds <= 2,
+        "all violations must be pinned in one round, took {}",
+        stats.legality_rounds
+    );
+    // Captured by optimizing this same program with the optimizer as it
+    // was before legality rounds collected every violation (one
+    // violation pinned per round): batching the blame changes none of
+    // the outcome.
+    assert_eq!(stats.ops_after, 319);
+    assert_eq!(stats.comb_elided, 1);
+    assert_eq!(stats.encodes_elided, 2);
+    assert_eq!(stats.aliases_blocked, 62);
+    assert_parity(&p, Optimize::Full, policy, "matting-rounds");
+}
+
 #[test]
 fn hoist_moves_interior_encode_into_leading_run() {
     // An encode sitting after a scouting op must bubble into the
@@ -266,15 +313,24 @@ fn hoist_moves_interior_encode_into_leading_run() {
 }
 
 /// Builds a random kernel-shaped program from packed pixel words: each
-/// word carries four tap bytes plus a blend/two-reads shape bit.
+/// word carries four tap bytes plus a shape selector — a blend, two
+/// reads, or a matting divide whose `I` reuses the `B` byte on some
+/// pixels, so several independent `I == B` legality violations meet in
+/// one program.
 fn build(pixels: &[u64]) -> Program {
     let mut p = Program::new();
     for &px in pixels {
         let b = px.to_le_bytes();
+        if b[4] % 3 == 2 {
+            let i = if b[5] & 1 == 1 { b[1] } else { b[0] };
+            matting_pixel(&mut p, i, b[1], b[2]);
+            p.next_group();
+            continue;
+        }
         let t = p.encode_correlated(&[f(b[0]), f(b[1]), f(b[2]), f(b[3])]);
         let g1 = p.abs_subtract(t[0], t[1]);
         let g2 = p.minimum(t[2], t[3]);
-        if b[4] & 1 == 1 {
+        if b[4] % 3 == 1 {
             let s = p.trng_select();
             let e = p.blend(g1, g2, s);
             p.read(e);

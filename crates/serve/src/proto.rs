@@ -147,8 +147,12 @@ fn read_f64(r: &mut impl Read) -> io::Result<f64> {
 }
 
 fn write_image(w: &mut impl Write, img: &GrayImage) -> io::Result<()> {
-    let width = u32::try_from(img.width())
-        .map_err(|_| bad(format!("image width {} not representable on the wire", img.width())))?;
+    let width = u32::try_from(img.width()).map_err(|_| {
+        bad(format!(
+            "image width {} not representable on the wire",
+            img.width()
+        ))
+    })?;
     let height = u32::try_from(img.height()).map_err(|_| {
         bad(format!(
             "image height {} not representable on the wire",

@@ -248,7 +248,10 @@ fn dispatch_kernel(
             // Same admission validation the batched path gets from
             // `submit_via` — the inline backends must not see a request
             // shape the service would have rejected.
-            let done = match req.validate().and_then(|()| request::run_on(&req, &other, engine)) {
+            let done = match req
+                .validate()
+                .and_then(|()| request::run_on(&req, &other, engine))
+            {
                 Ok(resp) => Completed {
                     id,
                     outcome: Outcome::Done(resp),

@@ -144,13 +144,17 @@ fn overload_sheds_or_downgrades_without_errors() {
 /// degrades the farm but requests still complete successfully.
 #[test]
 fn shard_retirement_degrades_instead_of_failing() {
+    // `ScReramConfig::validate()` rejects a faulty farm whose requested
+    // optimizer level is not Off (fault injection forces it off), so pin
+    // Off here rather than inherit an `IMSC_OPTIMIZE` override.
     let engine = ScReramConfig::new(64, 9)
         .with_schedule(Schedule::Pipelined { arrays: 3 })
         .with_array_faults(1, reram::faults::FaultRates::uniform(0.05))
         .with_retirement(imsc::RetirementPolicy {
             max_faults_per_op: 0.01,
             min_ops: 1_000,
-        });
+        })
+        .with_optimize(imsc::Optimize::Off);
     let service = quick_service(engine);
     let done = service
         .submit(KernelRequest::Bilinear {
