@@ -25,6 +25,7 @@ use reram::array::CrossbarArray;
 use reram::cell::DeviceParams;
 use reram::div::CordivPeriphery;
 use reram::faults::FaultRates;
+use reram::latch::WriteDriverLatches;
 use reram::scouting::{ScoutingLogic, SlOp};
 use reram::trng::TrngEngine;
 use sc_core::{BitStream, Fixed};
@@ -243,6 +244,7 @@ impl AcceleratorBuilder {
             allocator,
             rn_rows,
             sl,
+            latches: WriteDriverLatches::new(self.stream_len),
             trng,
             s2b: StochasticToBinary::ideal8(),
             slots: Vec::new(),
@@ -256,6 +258,7 @@ impl AcceleratorBuilder {
             trace_bank: self.trace_bank,
             cache_enabled: self.fault_rates.is_fault_free(),
             encode_cache: HashMap::new(),
+            encode_cache_spare: Vec::new(),
             encode_cache_epoch: 0,
             cache_hits: 0,
             refresh_policy: self.refresh_policy,
@@ -346,6 +349,9 @@ pub struct Accelerator {
     allocator: RowAllocator,
     rn_rows: Vec<usize>,
     sl: ScoutingLogic,
+    /// The array's L0/L1 write-driver latches (Fig. 1c), reused by every
+    /// IMSNG conversion.
+    latches: WriteDriverLatches,
     trng: TrngEngine,
     s2b: StochasticToBinary,
     slots: Vec<StreamSlot>,
@@ -362,6 +368,9 @@ pub struct Accelerator {
     /// lazily on first use after a refresh (no inline clearing on the
     /// refresh path).
     encode_cache: HashMap<Fixed, (BitStream, crate::imsng::ImsngCost)>,
+    /// Row buffers of pruned entries, refilled by later misses instead of
+    /// allocating one stream per conversion.
+    encode_cache_spare: Vec<BitStream>,
     encode_cache_epoch: u64,
     cache_hits: u64,
     refresh_policy: RnRefreshPolicy,
@@ -419,6 +428,13 @@ impl Accelerator {
     #[must_use]
     pub fn trace_bank(&self) -> usize {
         self.trace_bank
+    }
+
+    /// Reserves handle storage for `additional` more streams. Handles are
+    /// never reused, so every op appends one slot; reserving up front lets
+    /// a long run of ops proceed without reallocating.
+    pub fn reserve_slots(&mut self, additional: usize) {
+        self.slots.reserve(additional);
     }
 
     /// Stream rows still available before handles must be released.
@@ -519,7 +535,8 @@ impl Accelerator {
             // Lazy epoch keying: entries belong to `encode_cache_epoch`;
             // a realization change simply stops them from matching.
             if self.encode_cache_epoch != self.rn_epoch {
-                self.encode_cache.clear();
+                self.encode_cache_spare
+                    .extend(self.encode_cache.drain().map(|(_, (stream, _))| stream));
                 self.encode_cache_epoch = self.rn_epoch;
             }
             let key = x.requantize(m)?;
@@ -532,16 +549,32 @@ impl Accelerator {
                 self.cache_hits += 1;
                 return Ok(cost);
             }
-            let cost =
-                self.imsng
-                    .generate(&mut self.array, &mut self.sl, &self.rn_rows, x, dest)?;
-            let stream =
-                BitStream::from_words(self.array.row_words(dest)?.to_vec(), self.stream_len);
+            let cost = self.imsng.generate(
+                &mut self.array,
+                &mut self.sl,
+                &mut self.latches,
+                &self.rn_rows,
+                x,
+                dest,
+            )?;
+            // L0 still holds the stream just written to `dest`.
+            let generated = self.latches.data().as_words();
+            let mut stream = self
+                .encode_cache_spare
+                .pop()
+                .unwrap_or_else(|| BitStream::zeros(self.stream_len));
+            stream.assign_words(|w| w.copy_from_slice(generated));
             self.encode_cache.insert(key, (stream, cost));
             Ok(cost)
         } else {
-            self.imsng
-                .generate(&mut self.array, &mut self.sl, &self.rn_rows, x, dest)
+            self.imsng.generate(
+                &mut self.array,
+                &mut self.sl,
+                &mut self.latches,
+                &self.rn_rows,
+                x,
+                dest,
+            )
         }
     }
 
@@ -568,11 +601,7 @@ impl Accelerator {
                 self.record(CmdKind::ScoutRead { rows: 2 }, rn_row);
             }
         }
-        let writes = match self.imsng.variant() {
-            ImsngVariant::Baseline => 4 * m,
-            ImsngVariant::Naive => 2 * m,
-            ImsngVariant::Opt => 0,
-        };
+        let writes = self.imsng.variant().writes_per_bit() as usize * m;
         for &dest in dests {
             for _ in 0..writes {
                 self.record(CmdKind::Write, dest);
@@ -798,19 +827,10 @@ impl Accelerator {
         }
         // Destination first: no phantom costs on row exhaustion.
         let dest = self.alloc_row()?;
-        let result = match self
-            .sl
-            .execute_mut(&mut self.array, SlOp::Maj, &[ra, rb, rs])
-        {
-            Ok(r) => r,
-            Err(e) => {
-                self.allocator.release(dest);
-                return Err(e.into());
-            }
-        };
+        self.scout(SlOp::Maj, &[ra, rb, rs], dest)?;
         self.ledger.sl_single_ops += 1;
         self.record(CmdKind::ScoutRead { rows: 3 }, ra);
-        self.array.write_row(dest, &result)?;
+        self.array.write_row(dest, self.sl.result())?;
         self.ledger.stream_writes += 1;
         self.record(CmdKind::Write, dest);
         Ok(self.new_slot(dest, ga))
@@ -832,21 +852,35 @@ impl Accelerator {
     /// [`ImscError::OutOfRows`] or substrate errors.
     pub fn trng_select(&mut self) -> Result<StreamHandle, ImscError> {
         let dest = self.alloc_row()?;
-        let row = self.select_row();
-        self.array.write_row(dest, &row)?;
+        self.fill_select(dest)?;
         self.ledger.trng_fills += 1;
         self.record(CmdKind::Write, dest);
         let group = self.fresh_group();
         Ok(self.new_slot(dest, group))
     }
 
-    /// One ~0.5 select row, whitened when the builder asked for it.
-    fn select_row(&mut self) -> BitStream {
+    /// Writes one ~0.5 select row into `dest`, whitened when the builder
+    /// asked for it. The plain row is drawn through the TRNG's own row
+    /// buffer.
+    fn fill_select(&mut self, dest: usize) -> Result<(), reram::ReramError> {
         if self.whiten_select {
-            self.trng.generate_row_whitened(self.stream_len)
+            let row = self.trng.generate_row_whitened(self.stream_len);
+            self.array.write_row(dest, &row).map(|_| ())
         } else {
-            self.trng.generate_row(self.stream_len)
+            self.trng.fill_row(&mut self.array, dest)
         }
+    }
+
+    /// Runs one scouting op into the engine's result buffer; on a sensing
+    /// error the already-allocated `dest` is released, so a failed op
+    /// leaves no phantom cost. Callers write the result to `dest` from
+    /// [`ScoutingLogic::result`] after recording the sense.
+    fn scout(&mut self, op: SlOp, rows: &[usize], dest: usize) -> Result<(), ImscError> {
+        if let Err(e) = self.sl.execute_in_place(&mut self.array, op, rows) {
+            self.allocator.release(dest);
+            return Err(e.into());
+        }
+        Ok(())
     }
 
     /// Raw bits drawn from the in-memory TRNG so far (RN-row refreshes
@@ -906,19 +940,13 @@ impl Accelerator {
         // Destination first: a failed allocation must not leave phantom
         // op costs in the ledger or trace.
         let dest = self.alloc_row()?;
-        let result = match self.sl.execute_mut(&mut self.array, op, &[ra, rb]) {
-            Ok(r) => r,
-            Err(e) => {
-                self.allocator.release(dest);
-                return Err(e.into());
-            }
-        };
+        self.scout(op, &[ra, rb], dest)?;
         match op {
             SlOp::Xor | SlOp::Xnor => self.ledger.sl_xor_ops += 1,
             _ => self.ledger.sl_single_ops += 1,
         }
         self.record(CmdKind::ScoutRead { rows: 2 }, ra);
-        self.array.write_row(dest, &result)?;
+        self.array.write_row(dest, self.sl.result())?;
         self.ledger.stream_writes += 1;
         self.record(CmdKind::Write, dest);
         // Correlated-input results are threshold/interval tests of the
@@ -983,26 +1011,16 @@ impl Accelerator {
         // The select row is generated *into* the destination — the MAJ
         // consumes it and the result overwrites it — so the operation
         // peaks at one extra row, like the pre-policy implementation.
-        let select = self.select_row();
-        if let Err(e) = self.array.write_row(dest, &select) {
+        if let Err(e) = self.fill_select(dest) {
             self.allocator.release(dest);
             return Err(e.into());
         }
         self.ledger.trng_fills += 1;
         self.record(CmdKind::Write, dest);
-        let result = match self
-            .sl
-            .execute_mut(&mut self.array, SlOp::Maj, &[ra, rb, dest])
-        {
-            Ok(r) => r,
-            Err(e) => {
-                self.allocator.release(dest);
-                return Err(e.into());
-            }
-        };
+        self.scout(SlOp::Maj, &[ra, rb, dest], dest)?;
         self.ledger.sl_single_ops += 1;
         self.record(CmdKind::ScoutRead { rows: 3 }, ra);
-        self.array.write_row(dest, &result)?;
+        self.array.write_row(dest, self.sl.result())?;
         self.ledger.stream_writes += 1;
         self.record(CmdKind::Write, dest);
         let group = self.fresh_group();
@@ -1082,20 +1100,11 @@ impl Accelerator {
         // Each is its own single-row NOT sense read — the ledger charges
         // two single ops, so the trace records two single-row scout
         // reads, one per operand row.
-        let sense = |this: &mut Self, row: usize| match this.sl.execute_mut(
-            &mut this.array,
-            SlOp::Not,
-            &[row],
-        ) {
-            Ok(s) => {
-                this.ledger.sl_single_ops += 1;
-                this.record(CmdKind::ScoutRead { rows: 1 }, row);
-                Ok(s.not())
-            }
-            Err(e) => {
-                this.allocator.release(dest);
-                Err(ImscError::from(e))
-            }
+        let sense = |this: &mut Self, row: usize| {
+            this.scout(SlOp::Not, &[row], dest)?;
+            this.ledger.sl_single_ops += 1;
+            this.record(CmdKind::ScoutRead { rows: 1 }, row);
+            Ok::<_, ImscError>(this.sl.result().not())
         };
         let x = sense(self, ra)?;
         let y = sense(self, rb)?;
@@ -1132,17 +1141,11 @@ impl Accelerator {
         let ga = self.slot(a)?.correlation_group;
         // Destination first: no phantom costs on row exhaustion.
         let dest = self.alloc_row()?;
-        let result = match self.sl.execute_mut(&mut self.array, SlOp::Not, &[ra]) {
-            Ok(r) => r,
-            Err(e) => {
-                self.allocator.release(dest);
-                return Err(e.into());
-            }
-        };
+        self.scout(SlOp::Not, &[ra], dest)?;
         self.ledger.sl_single_ops += 1;
         // An inverted read senses a single row.
         self.record(CmdKind::ScoutRead { rows: 1 }, ra);
-        self.array.write_row(dest, &result)?;
+        self.array.write_row(dest, self.sl.result())?;
         self.ledger.stream_writes += 1;
         self.record(CmdKind::Write, dest);
         // The complement is *anti*-correlated with its source; it stays in
@@ -1151,17 +1154,25 @@ impl Accelerator {
     }
 
     /// Reads a stream back as a probability estimate via the reference
-    /// column and ADC — step ❸.
+    /// column and ADC — step ❸. The row's population count is taken
+    /// straight from the packed array words (one counted row read); no
+    /// copy of the row is made.
     ///
     /// # Errors
     ///
     /// Substrate errors only.
     pub fn read_value(&mut self, h: StreamHandle) -> Result<f64, ImscError> {
         let row = self.slot(h)?.row;
-        let s = self.array.read_row(row)?;
+        self.array.activate_rows(&[row])?;
+        let ones: u64 = self
+            .array
+            .row_words(row)?
+            .iter()
+            .map(|w| u64::from(w.count_ones()))
+            .sum();
         self.ledger.adc_samples += 1;
         self.record(CmdKind::AdcSample, row);
-        self.s2b.convert_to_prob(&s)
+        self.s2b.convert_count_to_prob(ones, self.stream_len as u64)
     }
 
     /// Copies a stream out of the array (diagnostic path; does not model

@@ -16,13 +16,12 @@
 //! | [`ImsngVariant::Naive`] | `2·M` | sensed values fed back as bitline voltages |
 //! | [`ImsngVariant::Opt`] | `0` | running flag/result kept in the L0/L1 write-driver latches |
 
-use crate::comparator::ComparatorSchedule;
 use crate::error::ImscError;
 use reram::array::CrossbarArray;
 use reram::energy::ReramCosts;
 use reram::latch::WriteDriverLatches;
 use reram::scouting::{ScoutingLogic, SlOp};
-use sc_core::{BitStream, Fixed};
+use sc_core::Fixed;
 
 /// The IMSNG implementation variant (write-overhead strategy).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -34,6 +33,21 @@ pub enum ImsngVariant {
     Naive,
     /// Latch-predicated sensing, no intermediate writes — "IMSNG-opt".
     Opt,
+}
+
+impl ImsngVariant {
+    /// Intermediate array writes per comparator bit position (4, 2 or
+    /// 0): the count that
+    /// [`crate::comparator::ComparatorSchedule::array_writes`] spells out
+    /// step by step.
+    #[must_use]
+    pub fn writes_per_bit(self) -> u32 {
+        match self {
+            ImsngVariant::Baseline => 4,
+            ImsngVariant::Naive => 2,
+            ImsngVariant::Opt => 0,
+        }
+    }
 }
 
 /// Cost record of one IMSNG conversion.
@@ -85,6 +99,7 @@ impl ImsngCost {
 /// ```
 /// use imsc::imsng::{Imsng, ImsngVariant};
 /// use reram::array::CrossbarArray;
+/// use reram::latch::WriteDriverLatches;
 /// use reram::scouting::ScoutingLogic;
 /// use reram::trng::TrngEngine;
 /// use sc_core::Fixed;
@@ -93,6 +108,7 @@ impl ImsngCost {
 /// let mut array = CrossbarArray::pristine(16, 256, 3);
 /// let mut trng = TrngEngine::ideal(64, 4);
 /// let mut sl = ScoutingLogic::ideal();
+/// let mut latches = WriteDriverLatches::new(256);
 /// let imsng = Imsng::new(ImsngVariant::Opt, 8)?;
 ///
 /// // Fill rows 0..8 with random bits and convert 0.5 into row 8.
@@ -100,7 +116,14 @@ impl ImsngCost {
 /// for &r in &rn_rows {
 ///     trng.fill_row(&mut array, r)?;
 /// }
-/// let cost = imsng.generate(&mut array, &mut sl, &rn_rows, Fixed::from_u8(128), 8)?;
+/// let cost = imsng.generate(
+///     &mut array,
+///     &mut sl,
+///     &mut latches,
+///     &rn_rows,
+///     Fixed::from_u8(128),
+///     8,
+/// )?;
 /// assert_eq!(cost.sense_ops, 40); // 5·M
 /// let sbs = array.read_row(8).map_err(imsc::ImscError::from)?;
 /// assert!((sbs.value() - 0.5).abs() < 0.15);
@@ -151,6 +174,12 @@ impl Imsng {
     /// `operand > RN_j`, so `P(1) = ⌈operand·2^M⌉ / 2^M` up to the
     /// randomness of the TRNG rows.
     ///
+    /// The comparison runs word-wise in place: each segment bit is one
+    /// NOT read into `sl`'s result buffer, folded into `latches` (the
+    /// array's L0/L1 write-driver pair, reset here to the array width).
+    /// When this returns, L0 holds the generated stream — the row just
+    /// written to `dest_row` — until the latches' next use.
+    ///
     /// # Errors
     ///
     /// * [`ImscError::InvalidConfig`] — `rn_rows.len() != segment_bits`.
@@ -160,6 +189,7 @@ impl Imsng {
         &self,
         array: &mut CrossbarArray,
         sl: &mut ScoutingLogic,
+        latches: &mut WriteDriverLatches,
         rn_rows: &[usize],
         operand: Fixed,
         dest_row: usize,
@@ -171,36 +201,32 @@ impl Imsng {
         }
         let m = self.segment_bits;
         let operand_m = operand.requantize(m)?;
-        let cols = array.cols();
-        let mut latches = WriteDriverLatches::new(cols);
-        // L0 accumulates GT; L1 holds FFlag (starts all-ones via new()).
+        // L0 accumulates GT; L1 holds FFlag (starts all-ones).
+        latches.reset(array.cols());
 
         for (i, &rn_row) in rn_rows.iter().enumerate() {
             let a_bit = (operand_m.value() >> (m - 1 - i as u32)) & 1 == 1;
             // Sense the RN bit row. A NOT read is one scouting step and
             // carries the injected fault behaviour of the sensing path.
-            let rn_not = sl.execute_mut(array, SlOp::Not, &[rn_row])?;
-            let rn = rn_not.not();
-            // win = A_i AND NOT RN_i (all-zero when A_i = 0).
-            let win = if a_bit {
-                rn_not
+            let not_rn = sl.execute_in_place(array, SlOp::Not, &[rn_row])?;
+            if a_bit {
+                // win = A_i AND NOT RN_i = NOT RN_i, and so is
+                // diff = A_i XOR RN_i.
+                // GT ← GT OR (FFlag AND win)   [predicated accumulate]
+                latches.accumulate(not_rn)?;
+                // FFlag ← FFlag AND NOT diff
+                latches.clear_flags(not_rn)?;
             } else {
-                BitStream::zeros(cols)
-            };
-            // GT ← GT OR (FFlag AND win)   [predicated accumulate]
-            latches.accumulate(&win)?;
-            // FFlag ← FFlag AND NOT diff; diff = A_i XOR RN_i.
-            let eq = if a_bit { rn } else { rn.not() };
-            latches.mask_flags(&eq)?;
+                // win is all-zero; diff = RN_i, so NOT diff = NOT RN_i.
+                latches.mask_flags(not_rn)?;
+            }
         }
 
-        let sbs = latches.data().clone();
-        array.write_row(dest_row, &sbs)?;
+        array.write_row(dest_row, latches.data())?;
 
-        let schedule = ComparatorSchedule::new(m, self.variant);
         Ok(ImsngCost {
-            sense_ops: schedule.sense_ops() as u64,
-            intermediate_writes: schedule.array_writes() as u64,
+            sense_ops: 5 * u64::from(m),
+            intermediate_writes: u64::from(self.variant.writes_per_bit() * m),
             sbs_writes: 1,
             trng_rows: u64::from(m),
         })
@@ -227,10 +253,18 @@ mod tests {
     fn generated_stream_tracks_target_probability() {
         let (mut array, _trng, rn_rows) = setup(8, 4096, 10);
         let mut sl = ScoutingLogic::ideal();
+        let mut latches = WriteDriverLatches::new(array.cols());
         let imsng = Imsng::new(ImsngVariant::Opt, 8).unwrap();
         for &x in &[32u8, 128, 224] {
             let cost = imsng
-                .generate(&mut array, &mut sl, &rn_rows, Fixed::from_u8(x), 10)
+                .generate(
+                    &mut array,
+                    &mut sl,
+                    &mut latches,
+                    &rn_rows,
+                    Fixed::from_u8(x),
+                    10,
+                )
                 .unwrap();
             assert_eq!(cost.sense_ops, 40);
             let sbs = array.read_row(10).unwrap();
@@ -247,13 +281,28 @@ mod tests {
     fn extreme_operands() {
         let (mut array, _trng, rn_rows) = setup(8, 512, 11);
         let mut sl = ScoutingLogic::ideal();
+        let mut latches = WriteDriverLatches::new(array.cols());
         let imsng = Imsng::new(ImsngVariant::Opt, 8).unwrap();
         imsng
-            .generate(&mut array, &mut sl, &rn_rows, Fixed::from_u8(0), 9)
+            .generate(
+                &mut array,
+                &mut sl,
+                &mut latches,
+                &rn_rows,
+                Fixed::from_u8(0),
+                9,
+            )
             .unwrap();
         assert_eq!(array.read_row(9).unwrap().count_ones(), 0);
         imsng
-            .generate(&mut array, &mut sl, &rn_rows, Fixed::from_u8(255), 9)
+            .generate(
+                &mut array,
+                &mut sl,
+                &mut latches,
+                &rn_rows,
+                Fixed::from_u8(255),
+                9,
+            )
             .unwrap();
         // 255/256 ≈ 1: nearly every random number is below the operand.
         assert!(array.read_row(9).unwrap().value() > 0.95);
@@ -263,13 +312,28 @@ mod tests {
     fn shared_rn_rows_produce_correlated_streams() {
         let (mut array, _trng, rn_rows) = setup(8, 2048, 12);
         let mut sl = ScoutingLogic::ideal();
+        let mut latches = WriteDriverLatches::new(array.cols());
         let imsng = Imsng::new(ImsngVariant::Opt, 8).unwrap();
         imsng
-            .generate(&mut array, &mut sl, &rn_rows, Fixed::from_u8(80), 9)
+            .generate(
+                &mut array,
+                &mut sl,
+                &mut latches,
+                &rn_rows,
+                Fixed::from_u8(80),
+                9,
+            )
             .unwrap();
         let sx = array.read_row(9).unwrap();
         imsng
-            .generate(&mut array, &mut sl, &rn_rows, Fixed::from_u8(160), 10)
+            .generate(
+                &mut array,
+                &mut sl,
+                &mut latches,
+                &rn_rows,
+                Fixed::from_u8(160),
+                10,
+            )
             .unwrap();
         let sy = array.read_row(10).unwrap();
         // x < y with shared randomness: every x-one is a y-one.
@@ -287,11 +351,22 @@ mod tests {
         ] {
             let (mut array, _trng, rn_rows) = setup(8, 64, 13);
             let mut sl = ScoutingLogic::ideal();
+            let mut latches = WriteDriverLatches::new(array.cols());
             let imsng = Imsng::new(variant, 8).unwrap();
             let cost = imsng
-                .generate(&mut array, &mut sl, &rn_rows, Fixed::from_u8(99), 9)
+                .generate(
+                    &mut array,
+                    &mut sl,
+                    &mut latches,
+                    &rn_rows,
+                    Fixed::from_u8(99),
+                    9,
+                )
                 .unwrap();
             assert_eq!(cost.intermediate_writes, writes, "{variant:?}");
+            let schedule = crate::comparator::ComparatorSchedule::new(8, variant);
+            assert_eq!(cost.intermediate_writes, schedule.array_writes() as u64);
+            assert_eq!(cost.sense_ops, schedule.sense_ops() as u64);
             assert_eq!(cost.sbs_writes, 1);
             assert_eq!(cost.trng_rows, 8);
         }
@@ -322,9 +397,17 @@ mod tests {
     fn narrow_segments_quantize() {
         let (mut array, _trng, rn_rows) = setup(5, 4096, 14);
         let mut sl = ScoutingLogic::ideal();
+        let mut latches = WriteDriverLatches::new(array.cols());
         let imsng = Imsng::new(ImsngVariant::Opt, 5).unwrap();
         imsng
-            .generate(&mut array, &mut sl, &rn_rows, Fixed::from_u8(100), 6)
+            .generate(
+                &mut array,
+                &mut sl,
+                &mut latches,
+                &rn_rows,
+                Fixed::from_u8(100),
+                6,
+            )
             .unwrap();
         let sbs = array.read_row(6).unwrap();
         // 100/256 requantized to 5 bits: round(100/8)/32 = 13/32 ≈ 0.406.
@@ -335,9 +418,17 @@ mod tests {
     fn faults_perturb_generation() {
         let (mut array, _trng, rn_rows) = setup(8, 1024, 15);
         let mut sl = ScoutingLogic::with_faults(FaultRates::uniform(0.05), 9);
+        let mut latches = WriteDriverLatches::new(array.cols());
         let imsng = Imsng::new(ImsngVariant::Opt, 8).unwrap();
         imsng
-            .generate(&mut array, &mut sl, &rn_rows, Fixed::from_u8(128), 9)
+            .generate(
+                &mut array,
+                &mut sl,
+                &mut latches,
+                &rn_rows,
+                Fixed::from_u8(128),
+                9,
+            )
             .unwrap();
         let noisy = array.read_row(9).unwrap();
         // Value still roughly tracks under 5% sensing faults (SC
@@ -350,8 +441,16 @@ mod tests {
     fn wrong_row_count_rejected() {
         let (mut array, _trng, _) = setup(8, 64, 16);
         let mut sl = ScoutingLogic::ideal();
+        let mut latches = WriteDriverLatches::new(array.cols());
         let imsng = Imsng::new(ImsngVariant::Opt, 8).unwrap();
-        let e = imsng.generate(&mut array, &mut sl, &[0, 1, 2], Fixed::from_u8(1), 9);
+        let e = imsng.generate(
+            &mut array,
+            &mut sl,
+            &mut latches,
+            &[0, 1, 2],
+            Fixed::from_u8(1),
+            9,
+        );
         assert!(matches!(e, Err(ImscError::InvalidConfig(_))));
     }
 

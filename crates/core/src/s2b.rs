@@ -60,8 +60,20 @@ impl StochasticToBinary {
     ///
     /// Propagates ADC range errors.
     pub fn convert_to_prob(&mut self, s: &BitStream) -> Result<f64, ImscError> {
+        self.convert_count_to_prob(s.count_ones(), s.len() as u64)
+    }
+
+    /// Converts a population count over a `len`-bit stream to a
+    /// probability estimate — [`StochasticToBinary::convert_to_prob`] for
+    /// callers that count the ones in place.
+    ///
+    /// # Errors
+    ///
+    /// Propagates ADC range errors (`ones > len`).
+    pub fn convert_count_to_prob(&mut self, ones: u64, len: u64) -> Result<f64, ImscError> {
         self.conversions += 1;
-        Ok(self.adc.convert_to_prob(s)?)
+        let code = self.adc.convert_count(ones, len)?;
+        Ok(code as f64 / self.adc.max_code() as f64)
     }
 }
 

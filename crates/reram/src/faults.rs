@@ -166,9 +166,12 @@ impl FaultInjector {
             return;
         }
         if p >= 1.0 {
-            let flipped = out.not();
+            out.assign_words(|w| {
+                for x in w {
+                    *x = !*x;
+                }
+            });
             self.injected += out.len() as u64;
-            *out = flipped;
             return;
         }
         // Sample the flip positions directly instead of tossing a coin per

@@ -36,6 +36,18 @@ impl WriteDriverLatches {
         }
     }
 
+    /// Re-initializes the bank for a new operation at `width` columns —
+    /// L0 cleared, L1 all-set, as [`WriteDriverLatches::new`] — in place,
+    /// reallocating only when the width changes.
+    pub fn reset(&mut self, width: usize) {
+        if self.width() != width {
+            *self = WriteDriverLatches::new(width);
+            return;
+        }
+        self.l0.assign_words(|w| w.fill(0));
+        self.l1.assign_words(|w| w.fill(u64::MAX));
+    }
+
     /// Width of the latch bank in columns.
     #[must_use]
     pub fn width(&self) -> usize {
@@ -111,22 +123,41 @@ impl WriteDriverLatches {
             })
     }
 
+    /// Clears the flags of the columns set in `decided` (`L1 ← L1 AND NOT
+    /// decided`), in place — the flag update when the sensed row marks the
+    /// columns that drop out rather than those that stay.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ReramError::WidthMismatch`] if `decided` has a different
+    /// width.
+    pub fn clear_flags(&mut self, decided: &BitStream) -> Result<(), ReramError> {
+        self.check(decided)?;
+        self.l1.assign_words(|flags| {
+            for (f, &d) in flags.iter_mut().zip(decided.as_words()) {
+                *f &= !d;
+            }
+        });
+        Ok(())
+    }
+
     /// Accumulates a predicated result into the data latch
-    /// (`L0 ← L0 OR (sensed AND L1)`), the per-bit-position update of the
-    /// greater-than network.
+    /// (`L0 ← L0 OR (sensed AND L1)`) in place, word by word — the
+    /// per-bit-position update of the greater-than network.
     ///
     /// # Errors
     ///
     /// Returns [`ReramError::WidthMismatch`] if `sensed` has a different
     /// width.
     pub fn accumulate(&mut self, sensed: &BitStream) -> Result<(), ReramError> {
-        let gated = self.predicated_sense(sensed)?;
-        self.l0
-            .or_assign(&gated)
-            .map_err(|_| ReramError::WidthMismatch {
-                data: gated.len(),
-                cols: self.width(),
-            })
+        self.check(sensed)?;
+        let flags = self.l1.as_words();
+        self.l0.assign_words(|data| {
+            for ((d, &s), &f) in data.iter_mut().zip(sensed.as_words()).zip(flags) {
+                *d |= s & f;
+            }
+        });
+        Ok(())
     }
 
     /// Differential-write mask: the columns whose stored value differs
@@ -195,6 +226,20 @@ mod tests {
         assert_eq!(l.data().count_ones(), 3);
         l.accumulate(&BitStream::from_fn(8, |i| i == 0)).unwrap();
         assert_eq!(l.data().count_ones(), 4);
+    }
+
+    #[test]
+    fn clear_flags_drops_decided_columns() {
+        let mut l = WriteDriverLatches::new(70);
+        l.clear_flags(&BitStream::from_fn(70, |i| i % 3 == 0))
+            .unwrap();
+        assert_eq!(l.flags().count_ones(), 46);
+        l.accumulate(&BitStream::ones(70)).unwrap();
+        assert_eq!(l.data(), l.flags());
+        l.reset(70);
+        assert_eq!(l, WriteDriverLatches::new(70));
+        l.reset(9);
+        assert_eq!(l, WriteDriverLatches::new(9));
     }
 
     #[test]

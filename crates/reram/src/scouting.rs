@@ -113,6 +113,13 @@ enum Mode {
 
 /// The scouting-logic execution engine.
 ///
+/// The engine owns one row-wide result buffer, the modeled sense-amplifier
+/// outputs. [`ScoutingLogic::execute_in_place`] senses into it (and, under
+/// fault injection, corrupts it in place); the result stays there until
+/// the next operation on this engine overwrites it, so a caller writes it
+/// to its destination row straight from [`ScoutingLogic::result`] with no
+/// temporary. The buffer follows the width of the last array sensed.
+///
 /// # Example
 ///
 /// ```
@@ -125,8 +132,9 @@ enum Mode {
 /// array.write_row(0, &BitStream::from_fn(32, |i| i < 16))?;
 /// array.write_row(1, &BitStream::from_fn(32, |i| i >= 8))?;
 /// let mut sl = ScoutingLogic::ideal();
-/// let xor = sl.execute_mut(&mut array, SlOp::Xor, &[0, 1])?;
+/// let xor = sl.execute_in_place(&mut array, SlOp::Xor, &[0, 1])?;
 /// assert_eq!(xor.count_ones(), 24);
+/// array.write_row(2, sl.result())?;
 /// # Ok(())
 /// # }
 /// ```
@@ -134,35 +142,37 @@ enum Mode {
 pub struct ScoutingLogic {
     mode: Mode,
     ops_executed: u64,
+    result: BitStream,
 }
 
 impl ScoutingLogic {
+    fn with_mode(mode: Mode) -> Self {
+        ScoutingLogic {
+            mode,
+            ops_executed: 0,
+            result: BitStream::zeros(0),
+        }
+    }
+
     /// Creates a fault-free, digitally exact engine.
     #[must_use]
     pub fn ideal() -> Self {
-        ScoutingLogic {
-            mode: Mode::Ideal,
-            ops_executed: 0,
-        }
+        Self::with_mode(Mode::Ideal)
     }
 
     /// Creates an engine that injects per-op bit flips at the given rates.
     #[must_use]
     pub fn with_faults(rates: FaultRates, seed: u64) -> Self {
-        ScoutingLogic {
-            mode: Mode::FaultInjected(Box::new(FaultInjector::new(rates, seed))),
-            ops_executed: 0,
-        }
+        Self::with_mode(Mode::FaultInjected(Box::new(FaultInjector::new(
+            rates, seed,
+        ))))
     }
 
     /// Creates an engine that senses analog bitline currents against the
     /// calibrated references (slow; used for failure-rate derivation).
     #[must_use]
     pub fn analog() -> Self {
-        ScoutingLogic {
-            mode: Mode::Analog,
-            ops_executed: 0,
-        }
+        Self::with_mode(Mode::Analog)
     }
 
     /// Number of scouting-logic operations executed.
@@ -180,9 +190,16 @@ impl ScoutingLogic {
         }
     }
 
+    /// The result of the last [`ScoutingLogic::execute_in_place`] (empty
+    /// before the first one). Valid until the next operation.
+    #[must_use]
+    pub fn result(&self) -> &BitStream {
+        &self.result
+    }
+
     /// Executes `op` over the given operand rows, returning the row-wide
     /// result. Immutable-array convenience for ideal mode; see
-    /// [`ScoutingLogic::execute_mut`] for the general form.
+    /// [`ScoutingLogic::execute_in_place`] for the general form.
     ///
     /// # Errors
     ///
@@ -195,33 +212,59 @@ impl ScoutingLogic {
         rows: &[usize],
     ) -> Result<BitStream, ReramError> {
         op.check_operands(rows.len())?;
-        Self::digital_words(array, op, rows)
+        let mut out = BitStream::zeros(array.cols());
+        Self::digital_into(array, op, rows, &mut out)?;
+        Ok(out)
     }
 
-    /// Executes `op` over the operand rows with full mode semantics
-    /// (fault injection or analog sensing), updating statistics.
+    /// Executes `op` with full mode semantics into the engine's result
+    /// buffer and returns a copy of it — [`ScoutingLogic::execute_in_place`]
+    /// for callers that keep the result past the next operation.
     ///
     /// # Errors
     ///
-    /// * [`ReramError::BadOperandCount`] — operand count unsupported.
-    /// * [`ReramError::RowOutOfRange`] — a row index is out of range.
+    /// Same as [`ScoutingLogic::execute_in_place`].
     pub fn execute_mut(
         &mut self,
         array: &mut CrossbarArray,
         op: SlOp,
         rows: &[usize],
     ) -> Result<BitStream, ReramError> {
+        self.execute_in_place(array, op, rows).cloned()
+    }
+
+    /// Executes `op` over the operand rows with full mode semantics
+    /// (fault injection or analog sensing), updating statistics. The
+    /// result lands in the engine's own buffer, which the returned
+    /// reference borrows; no allocation once the buffer has the array's
+    /// width.
+    ///
+    /// # Errors
+    ///
+    /// * [`ReramError::BadOperandCount`] — operand count unsupported.
+    /// * [`ReramError::RowOutOfRange`] — a row index is out of range.
+    pub fn execute_in_place(
+        &mut self,
+        array: &mut CrossbarArray,
+        op: SlOp,
+        rows: &[usize],
+    ) -> Result<&BitStream, ReramError> {
         op.check_operands(rows.len())?;
         self.ops_executed += 1;
-        match &mut self.mode {
-            Mode::Ideal => Self::digital(array, op, rows),
-            Mode::FaultInjected(inj) => {
-                let mut out = Self::digital(array, op, rows)?;
-                inj.corrupt_op_output(op, &mut out);
-                Ok(out)
-            }
-            Mode::Analog => Self::analog_sense(array, op, rows),
+        if self.result.len() != array.cols() {
+            self.result = BitStream::zeros(array.cols());
         }
+        match &mut self.mode {
+            Mode::Analog => Self::analog_sense(array, op, rows, &mut self.result)?,
+            digital => {
+                array.activate_rows(rows)?;
+                Self::digital_into(array, op, rows, &mut self.result)?;
+                if let Mode::FaultInjected(inj) = digital {
+                    inj.corrupt_op_output(op, &mut self.result);
+                }
+            }
+        }
+        Ok(&self.result)
     }
 
     /// Records per-op statistics for work that was modeled but not
@@ -232,62 +275,56 @@ impl ScoutingLogic {
         self.ops_executed += n;
     }
 
-    fn digital(
-        array: &mut CrossbarArray,
-        op: SlOp,
-        rows: &[usize],
-    ) -> Result<BitStream, ReramError> {
-        array.activate_rows(rows)?;
-        Self::digital_words(array, op, rows)
-    }
-
-    /// The packed fast path: combines whole 64-bit words of the operand
-    /// rows per machine op instead of iterating cells. One word op per
-    /// `⌈cols/64⌉` chunk models the single-sensing-cycle row-parallelism
-    /// of the hardware.
-    fn digital_words(
+    /// The packed kernel: combines whole 64-bit words of the operand rows
+    /// per machine op instead of iterating cells, overwriting `out` (which
+    /// has the array's width). One word op per `⌈cols/64⌉` chunk models the
+    /// single-sensing-cycle row-parallelism of the hardware.
+    fn digital_into(
         array: &CrossbarArray,
         op: SlOp,
         rows: &[usize],
-    ) -> Result<BitStream, ReramError> {
-        let cols = array.cols();
-        let mut acc = array.row_words(rows[0])?.to_vec();
-        match op {
-            SlOp::And | SlOp::Nand => {
-                for &r in &rows[1..] {
-                    for (a, &b) in acc.iter_mut().zip(array.row_words(r)?) {
-                        *a &= b;
+        out: &mut BitStream,
+    ) -> Result<(), ReramError> {
+        let first = array.row_words(rows[0])?;
+        out.assign_words(|acc| {
+            acc.copy_from_slice(first);
+            match op {
+                SlOp::And | SlOp::Nand => {
+                    for &r in &rows[1..] {
+                        for (a, &b) in acc.iter_mut().zip(array.row_words(r)?) {
+                            *a &= b;
+                        }
                     }
                 }
-            }
-            SlOp::Or | SlOp::Nor => {
-                for &r in &rows[1..] {
-                    for (a, &b) in acc.iter_mut().zip(array.row_words(r)?) {
-                        *a |= b;
+                SlOp::Or | SlOp::Nor => {
+                    for &r in &rows[1..] {
+                        for (a, &b) in acc.iter_mut().zip(array.row_words(r)?) {
+                            *a |= b;
+                        }
                     }
                 }
+                SlOp::Xor | SlOp::Xnor => {
+                    for (a, &b) in acc.iter_mut().zip(array.row_words(rows[1])?) {
+                        *a ^= b;
+                    }
+                }
+                SlOp::Maj => {
+                    let b = array.row_words(rows[1])?;
+                    let c = array.row_words(rows[2])?;
+                    for ((a, &b), &c) in acc.iter_mut().zip(b).zip(c) {
+                        *a = (*a & b) | (*a & c) | (b & c);
+                    }
+                }
+                SlOp::Not => {}
             }
-            SlOp::Xor | SlOp::Xnor => {
-                for (a, &b) in acc.iter_mut().zip(array.row_words(rows[1])?) {
-                    *a ^= b;
+            if op.inverted() {
+                for a in acc.iter_mut() {
+                    *a = !*a;
                 }
             }
-            SlOp::Maj => {
-                let b = array.row_words(rows[1])?;
-                let c = array.row_words(rows[2])?;
-                for (i, a) in acc.iter_mut().enumerate() {
-                    *a = (*a & b[i]) | (*a & c[i]) | (b[i] & c[i]);
-                }
-            }
-            SlOp::Not => {}
-        }
-        if op.inverted() {
-            for a in &mut acc {
-                *a = !*a;
-            }
-        }
-        // from_words masks the bits beyond `cols` in the last word.
-        Ok(BitStream::from_words(acc, cols))
+            // assign_words masks the bits beyond `cols` in the last word.
+            Ok(())
+        })
     }
 
     /// The cell-by-cell reference implementation of the digital path:
@@ -327,11 +364,11 @@ impl ScoutingLogic {
         array: &mut CrossbarArray,
         op: SlOp,
         rows: &[usize],
-    ) -> Result<BitStream, ReramError> {
+        out: &mut BitStream,
+    ) -> Result<(), ReramError> {
         let amp = SenseAmp::calibrated(array.params());
-        let cols = array.cols();
-        let mut out = BitStream::zeros(cols);
-        for col in 0..cols {
+        out.assign_words(|w| w.fill(0));
+        for col in 0..array.cols() {
             let current = array.column_current(rows, col)?;
             let bit = match op {
                 SlOp::Or => amp.sense_at_least(current, 1)?,
@@ -347,7 +384,7 @@ impl ScoutingLogic {
                 out.set(col, true);
             }
         }
-        Ok(out)
+        Ok(())
     }
 }
 

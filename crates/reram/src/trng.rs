@@ -58,6 +58,9 @@ pub struct TrngEngine {
     sampler: GaussianSampler,
     cursor: usize,
     bits_generated: u64,
+    /// The row [`TrngEngine::fill_row`] draws into before the array write;
+    /// it follows the width of the last array filled.
+    row: BitStream,
 }
 
 impl TrngEngine {
@@ -106,6 +109,7 @@ impl TrngEngine {
             sampler,
             cursor: 0,
             bits_generated: 0,
+            row: BitStream::zeros(0),
         }
     }
 
@@ -186,15 +190,25 @@ impl TrngEngine {
     }
 
     /// Generates a random row and stores it in `array` at `row` — the
-    /// paper's single-step TRNG write.
+    /// paper's single-step TRNG write. The bits are drawn into the
+    /// engine's own row buffer (the same draws, in the same order, as
+    /// [`TrngEngine::generate_row`]) and written from there; the buffer
+    /// holds that row until the next fill, and is reallocated only when
+    /// the array width changes.
     ///
     /// # Errors
     ///
     /// Propagates array range errors.
     pub fn fill_row(&mut self, array: &mut CrossbarArray, row: usize) -> Result<(), ReramError> {
-        let bits = self.generate_row(array.cols());
-        array.write_row(row, &bits)?;
-        Ok(())
+        let cols = array.cols();
+        let mut buf = std::mem::replace(&mut self.row, BitStream::zeros(0));
+        if buf.len() != cols {
+            buf = BitStream::zeros(cols);
+        }
+        buf.assign_words(|w| self.fill_words(w, cols));
+        let written = array.write_row(row, &buf);
+        self.row = buf;
+        written.map(|_| ())
     }
 
     /// Per-bit fallback for [`BitSource::fill_words`] (mirrors the trait's

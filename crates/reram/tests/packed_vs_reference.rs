@@ -9,6 +9,9 @@
 //! * FaultInjected mode: a seeded fault-injected engine produces exactly
 //!   `digital_reference ⊕ injector(seed)` — i.e. the packed path changes
 //!   nothing about where seeded faults land — and is reproducible.
+//! * Buffered results: `ScoutingLogic::execute_in_place` (the engine's
+//!   own result buffer) ≡ `ScoutingLogic::execute_mut` (a fresh copy) in
+//!   every mode, with identical fault and row-read counts.
 
 use proptest::prelude::*;
 use reram::array::CrossbarArray;
@@ -157,5 +160,40 @@ proptest! {
         let mut s = BitStream::zeros(n);
         inj.corrupt_op_output(SlOp::Maj, &mut s);
         prop_assert_eq!(s.count_ones(), inj.injected());
+    }
+
+    #[test]
+    fn buffered_result_equals_execute_mut(
+        cols in 1usize..140,
+        p in 0.0f64..0.5,
+        seed in any::<u64>(),
+    ) {
+        let engines = [
+            ScoutingLogic::ideal(),
+            ScoutingLogic::with_faults(FaultRates::uniform(p), seed ^ 0xB1),
+            // Certain flips take the whole-row inversion path.
+            ScoutingLogic::with_faults(FaultRates::uniform(1.0), seed ^ 0xB2),
+            ScoutingLogic::analog(),
+        ];
+        for engine in engines {
+            let mut buffered = engine.clone();
+            let mut copying = engine;
+            let mut buffered_array = loaded_array(3, cols, seed);
+            let mut copying_array = buffered_array.clone();
+            for op in ALL_OPS {
+                let rows: Vec<usize> = (0..operand_rows(op)).collect();
+                let want = copying
+                    .execute_mut(&mut copying_array, op, &rows)
+                    .expect("valid rows");
+                let got = buffered
+                    .execute_in_place(&mut buffered_array, op, &rows)
+                    .expect("valid rows");
+                prop_assert_eq!(got, &want, "{} over {} cols", op.name(), cols);
+                prop_assert_eq!(buffered.result(), &want);
+                prop_assert_eq!(buffered.faults_injected(), copying.faults_injected());
+                prop_assert_eq!(buffered_array.row_reads(), copying_array.row_reads());
+            }
+            prop_assert_eq!(buffered.ops_executed(), copying.ops_executed());
+        }
     }
 }

@@ -124,6 +124,16 @@ impl BitStream {
         &self.words
     }
 
+    /// Rewrites the packed words in place through `f`, then clears the
+    /// bits beyond `len` in the last word — the tail invariant holds
+    /// whatever `f` stores. The hot-path form of every in-array step that
+    /// overwrites a row-sized buffer: no allocation, no length change.
+    pub fn assign_words<R>(&mut self, f: impl FnOnce(&mut [u64]) -> R) -> R {
+        let r = f(&mut self.words);
+        self.mask_tail();
+        r
+    }
+
     /// Appends one bit to the stream.
     pub fn push(&mut self, bit: bool) {
         let i = self.len;
@@ -638,6 +648,18 @@ mod tests {
     fn from_words_masks_excess_bits() {
         let s = BitStream::from_words(vec![u64::MAX], 10);
         assert_eq!(s.count_ones(), 10);
+    }
+
+    #[test]
+    fn assign_words_keeps_the_tail_clear() {
+        let mut s = BitStream::zeros(70);
+        let words = s.assign_words(|w| {
+            w.fill(u64::MAX);
+            w.len()
+        });
+        assert_eq!(words, 2);
+        assert_eq!(s.count_ones(), 70);
+        assert_eq!(s.as_words()[1], (1 << 6) - 1);
     }
 
     #[test]

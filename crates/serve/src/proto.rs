@@ -26,10 +26,13 @@
 //! to the *output* shape too: a bilinear frame whose `input × factor`
 //! dimensions would exceed them is rejected at parse time (with checked
 //! arithmetic, so a near-`u32::MAX` factor cannot overflow the check
-//! itself).
+//! itself). A kernel frame that parses but fails
+//! [`KernelRequest::validate`] comes back as a [`Rejected`] error: the
+//! frame was consumed whole, so the server answers it and keeps reading.
 
 use imgproc::request::{Backend, KernelRequest};
 use imgproc::GrayImage;
+use std::fmt;
 use std::io::{self, Read, Write};
 
 /// Protocol version of this codec.
@@ -118,6 +121,33 @@ pub struct WireResponse {
     pub pixels: Option<GrayImage>,
     /// Shed reason / error message otherwise.
     pub message: String,
+}
+
+/// A well-framed request whose kernel fails [`KernelRequest::validate`].
+/// [`read_request`] returns it inside an [`io::ErrorKind::InvalidInput`]
+/// error (see [`rejected`]); unlike a framing error, the stream is still
+/// aligned on the next frame.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Rejected {
+    /// The request id, for the error response.
+    pub id: u64,
+    /// The validation failure.
+    pub reason: String,
+}
+
+impl fmt::Display for Rejected {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "request {} rejected: {}", self.id, self.reason)
+    }
+}
+
+impl std::error::Error for Rejected {}
+
+/// The [`Rejected`] request behind a [`read_request`] error, if that is
+/// what it was (`None` for framing and I/O errors).
+#[must_use]
+pub fn rejected(e: &io::Error) -> Option<&Rejected> {
+    e.get_ref()?.downcast_ref()
 }
 
 fn bad(msg: String) -> io::Error {
@@ -218,12 +248,15 @@ pub fn write_request(w: &mut impl Write, req: &WireRequest) -> io::Result<()> {
 }
 
 /// Reads one request frame; `Ok(None)` on clean end-of-stream (the
-/// peer closed between frames).
+/// peer closed between frames). Every kernel request returned passes
+/// [`KernelRequest::validate`].
 ///
 /// # Errors
 ///
 /// [`io::ErrorKind::InvalidData`] on malformed frames, plus underlying
 /// I/O errors (including truncation mid-frame).
+/// [`io::ErrorKind::InvalidInput`] carrying a [`Rejected`] for a
+/// well-formed frame whose request fails validation.
 pub fn read_request(r: &mut impl Read) -> io::Result<Option<WireRequest>> {
     let mut magic = [0u8; 1];
     match r.read(&mut magic)? {
@@ -309,6 +342,17 @@ pub fn read_request(r: &mut impl Read) -> io::Result<Option<WireRequest>> {
             })
         }
     };
+    if let WireBody::Kernel(k) = &body {
+        if let Err(e) = k.validate() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                Rejected {
+                    id,
+                    reason: e.to_string(),
+                },
+            ));
+        }
+    }
     Ok(Some(WireRequest {
         id,
         deadline_us,

@@ -162,6 +162,12 @@ fn handle_connection(
     stop: &AtomicBool,
     addr: SocketAddr,
 ) -> io::Result<()> {
+    // Each response is one small segment. With Nagle's algorithm on, a
+    // response written while the previous one is still unacknowledged
+    // waits for the peer's delayed ACK (~40 ms on Linux), so whether a
+    // request stalls would depend on how closely its completion follows
+    // the last one.
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let writer = stream;
     let (tx, rx) = mpsc::channel::<Completed>();
@@ -178,7 +184,19 @@ fn handle_connection(
         })
         .expect("spawn writer");
 
-    while let Some(frame) = proto::read_request(&mut reader)? {
+    loop {
+        let frame = match proto::read_request(&mut reader) {
+            Ok(Some(frame)) => frame,
+            Ok(None) => break,
+            // A well-framed but invalid request: answer it, keep reading.
+            Err(e) => match proto::rejected(&e) {
+                Some(r) => {
+                    let _ = tx.send(fail(r.id, r.reason.clone()));
+                    continue;
+                }
+                None => return Err(e),
+            },
+        };
         match frame.body {
             WireBody::Shutdown => {
                 let _ = tx.send(Completed {

@@ -245,6 +245,39 @@ fn tcp_roundtrip_and_clean_shutdown() {
     assert_eq!(stats.failed, 0);
 }
 
+/// A well-framed request that fails validation is answered with an
+/// error over the wire, and the connection keeps serving.
+#[test]
+fn invalid_wire_request_is_answered_and_the_connection_survives() {
+    let engine = ScReramConfig::new(64, 23);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let server = Server::start(
+        listener,
+        ServiceConfig {
+            engine: engine.clone(),
+            batch_window: Duration::from_millis(1),
+            default_deadline: Duration::from_secs(3600),
+            ..ServiceConfig::default()
+        },
+    )
+    .expect("server starts");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let bad = KernelRequest::Bilinear {
+        src: synth::gradient(4, 4, true),
+        factor: 1,
+    };
+    let resp = client.call(&bad, None).expect("answered, not dropped");
+    assert_eq!(resp.status, Status::Error);
+    assert!(resp.message.contains("at least 2"), "{}", resp.message);
+    let req = edge_req(16, 3);
+    let resp = client.call(&req, None).expect("same connection");
+    assert_eq!(resp.status, Status::Ok);
+    let expect = request::run(&req, &engine).expect("library run");
+    assert_eq!(resp.pixels.expect("pixels"), expect.pixels);
+    client.shutdown().expect("shutdown ack");
+    server.wait();
+}
+
 /// Queue-full admission shed resolves the ticket immediately with
 /// `ShedReason::QueueFull` (not an error, not a hang).
 #[test]
