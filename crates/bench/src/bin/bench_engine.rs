@@ -284,8 +284,8 @@ fn main() {
     // --- Same workload through the cross-array pipeline scheduler ------
     // Bit-identical pixels/ledgers to the per-tile run; this anchor
     // guards the pipelined path's host-side overhead (one logical
-    // program, output-aligned slicing, stage workers + bounded queues)
-    // from day one.
+    // program emitted and sliced serially at output-aligned cuts, then
+    // one work-queue job per slice).
     let cfg_pipelined = cfg.with_schedule(Schedule::Pipelined { arrays: 3 });
     record(
         "bilinear_sc_reram_pipelined_64_to_128_n256",

@@ -21,12 +21,13 @@
 //!   *plumbing* (no dropped or invented commands), not shared constants
 //!   by accident.
 //! * Sub-traces are drained out of each accelerator at schedule
-//!   boundaries ([`crate::engine::Accelerator::take_trace`]) and fed
-//!   through a reorder buffer. Under pipelined scheduling slices retire
-//!   in order, so whole-frame programs never materialize one giant
-//!   command vector ([`ReplaySummary::peak_buffered_commands`] pins that
-//!   bound). The parallel per-tile path has no such bound: tiles finish
-//!   in any order, and a late first tile can hold the whole stream.
+//!   boundaries ([`crate::engine::Accelerator::take_trace`]) into
+//!   dispatch slots of a [`SinkHandle`]. Per-tile and pipelined workers
+//!   retire through [`SinkHandle::slot`], which waits until every lower
+//!   slot has been replayed, so whole-frame programs never materialize
+//!   one giant command vector: on both paths the reorder buffer holds at
+//!   most one sub-trace ([`ReplaySummary::peak_buffered_commands`] pins
+//!   that bound).
 
 use crate::cost::CostLedger;
 use nvsim::energy::EnergyParams;
@@ -34,7 +35,7 @@ use nvsim::timing::TimingParams;
 use nvsim::{MemoryConfig, SimError, Simulator, Trace};
 use reram::energy::ReramCosts;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// Banks in the replay memory model (arrays map onto banks modulo this).
 pub const REPLAY_BANKS: usize = 8;
@@ -105,9 +106,11 @@ pub struct ReplaySummary {
     pub banks_used: usize,
     /// Diagnostic, not part of equality: peak number of commands resident
     /// in the sink's reorder buffer — the memory bound of streaming
-    /// replay. Under pipelined scheduling it stays at one sub-trace (not
-    /// the whole frame). On the parallel per-tile path it depends on the
-    /// order tiles finish and is unbounded up to the whole stream.
+    /// replay. Workers that retire through [`SinkHandle::slot`] (the
+    /// per-tile and pipelined schedules) drain in dispatch order, so it
+    /// stays at the largest single tile's or slice's sub-trace, never the
+    /// whole frame. Producers calling [`SinkHandle::accept`] out of order
+    /// can raise it up to the whole stream.
     pub peak_buffered_commands: u64,
 }
 
@@ -148,10 +151,10 @@ pub fn relative_gap(a: f64, b: f64) -> f64 {
 /// [`Simulator`] session.
 ///
 /// Producers hand over sub-traces tagged with a dispatch sequence
-/// number ([`TraceSink::accept`]); out-of-order arrivals (parallel
-/// per-tile workers) wait in a reorder buffer and are fed to the
-/// simulator as soon as the sequence is contiguous, keeping peak memory
-/// at a few sub-traces instead of the whole frame.
+/// number ([`TraceSink::accept`]); out-of-order arrivals wait in a
+/// reorder buffer and are fed to the simulator as soon as the sequence
+/// is contiguous. Workers that retire through [`SinkHandle::slot`]
+/// arrive in order, so the buffer never holds more than one sub-trace.
 #[derive(Debug)]
 pub struct TraceSink {
     sim: Simulator,
@@ -286,7 +289,15 @@ impl TraceSink {
 /// schedulers and parallel tile workers share.
 #[derive(Debug, Clone)]
 pub struct SinkHandle {
-    inner: Arc<Mutex<TraceSink>>,
+    inner: Arc<Shared>,
+}
+
+#[derive(Debug)]
+struct Shared {
+    sink: Mutex<TraceSink>,
+    /// Signalled whenever the replayed sequence advances, waking
+    /// [`SinkSlot::drain`] callers waiting for their turn.
+    turn: Condvar,
 }
 
 impl SinkHandle {
@@ -294,7 +305,10 @@ impl SinkHandle {
     #[must_use]
     pub fn new(sink: TraceSink) -> Self {
         SinkHandle {
-            inner: Arc::new(Mutex::new(sink)),
+            inner: Arc::new(Shared {
+                sink: Mutex::new(sink),
+                turn: Condvar::new(),
+            }),
         }
     }
 
@@ -308,17 +322,23 @@ impl SinkHandle {
     }
 
     /// Accepts the sub-trace for dispatch slot `seq` (see
-    /// [`TraceSink::accept`]).
+    /// [`TraceSink::accept`]) without waiting for its turn.
     pub fn accept(&self, seq: usize, trace: Trace) {
         self.lock().accept(seq, trace);
+        self.inner.turn.notify_all();
     }
 
-    /// Drains an accelerator's recorded trace into dispatch slot `seq`.
-    /// A no-op when the accelerator does not record traces.
-    pub fn drain_into(&self, seq: usize, acc: &mut crate::engine::Accelerator) {
-        if let Some(t) = acc.take_trace() {
-            self.accept(seq, t);
-        }
+    /// Claims dispatch slot `seq` for one job. The job retires into it
+    /// with [`SinkSlot::drain`], which waits until every lower slot has
+    /// been replayed. A slot dropped without draining (the job failed or
+    /// panicked) is released with an empty trace, so no later slot waits
+    /// on it forever.
+    ///
+    /// Waiting cannot deadlock as long as slots are claimed in dispatch
+    /// order by live jobs: every lower slot then belongs to a job that
+    /// either drains or drops it.
+    pub fn slot(&self, seq: usize) -> SinkSlot<'_> {
+        SinkSlot { sink: self, seq }
     }
 
     /// Closes the session and returns the replay summary. Meaningful
@@ -336,8 +356,47 @@ impl SinkHandle {
 
     fn lock(&self) -> std::sync::MutexGuard<'_, TraceSink> {
         self.inner
+            .sink
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+}
+
+/// One job's claim on a dispatch slot of a [`SinkHandle`] (see
+/// [`SinkHandle::slot`]).
+#[derive(Debug)]
+#[must_use = "dropping a slot releases it with an empty trace"]
+pub struct SinkSlot<'a> {
+    sink: &'a SinkHandle,
+    seq: usize,
+}
+
+impl SinkSlot<'_> {
+    /// Waits until every lower slot has been replayed, then drains the
+    /// accelerator's recorded trace into this slot (an empty one when the
+    /// accelerator does not record traces, which still moves the
+    /// sequence on).
+    pub fn drain(self, acc: &mut crate::engine::Accelerator) {
+        let trace = acc.take_trace().unwrap_or_default();
+        let mut sink = self.sink.lock();
+        while sink.next_seq() < self.seq {
+            sink = self
+                .sink
+                .inner
+                .turn
+                .wait(sink)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+        }
+        sink.accept(self.seq, trace);
+        drop(sink);
+        self.sink.inner.turn.notify_all();
+        std::mem::forget(self);
+    }
+}
+
+impl Drop for SinkSlot<'_> {
+    fn drop(&mut self) {
+        self.sink.accept(self.seq, Trace::new());
     }
 }
 
@@ -420,6 +479,36 @@ mod tests {
         assert_eq!(stitched.len(), 2);
         assert_eq!(stitched.commands()[0].row, 4);
         assert_eq!(stitched.commands()[1].row, 9);
+    }
+
+    #[test]
+    fn slots_drain_in_dispatch_order_and_dropped_slots_release() {
+        use crate::engine::Accelerator;
+        let handle = SinkHandle::for_stream_len(64).unwrap();
+        let traced = |record: bool| {
+            let mut acc = Accelerator::builder()
+                .stream_len(64)
+                .seed(5)
+                .record_trace(record)
+                .build()
+                .unwrap();
+            acc.encode(sc_core::Fixed::from_u8(77)).unwrap();
+            acc
+        };
+        let mut last = traced(true);
+        let expect = last.trace().unwrap().len() as u64;
+        std::thread::scope(|scope| {
+            // Slot 2 finishes first and must wait for slots 0 and 1.
+            let waiter = scope.spawn(|| handle.slot(2).drain(&mut last));
+            let failed = handle.slot(0);
+            let quiet = handle.slot(1);
+            drop(failed); // a failed job releases its slot
+            quiet.drain(&mut traced(false)); // no trace still moves the sequence
+            waiter.join().expect("slot 2 drains once its turn comes");
+        });
+        let got = handle.finish().unwrap();
+        assert_eq!(got.commands, expect);
+        assert_eq!(got.peak_buffered_commands, expect);
     }
 
     #[test]

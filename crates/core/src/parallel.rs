@@ -4,9 +4,9 @@
 //! `imgproc::tile`, hoisted into the core crate so that *any* program —
 //! not just image tiles — can be scheduled across workers: the tiled
 //! image kernels drive [`run_indexed_with`] with one job per row tile,
-//! and the cross-array pipeline scheduler
-//! ([`crate::program::sched`]) builds its stage workers on the same
-//! primitives ([`BoundedQueue`], [`Semaphore`]).
+//! and the cross-array pipeline scheduler ([`crate::program::sched`])
+//! with one job per program slice. [`BoundedQueue`] is the blocking FIFO
+//! a service frontend admits requests through.
 //!
 //! Everything here is *deterministic by construction*: jobs are
 //! identified by index, results are collected in index order, and no
@@ -105,10 +105,9 @@ where
     Ok(out)
 }
 
-/// A blocking bounded FIFO connecting two pipeline stages.
+/// A blocking bounded FIFO between a producer and a consumer thread.
 ///
-/// [`BoundedQueue::push`] blocks while the queue is full (the pipeline's
-/// back-pressure); [`BoundedQueue::pop`] blocks while it is empty and
+/// [`BoundedQueue::push`] blocks while the queue is full (back-pressure); [`BoundedQueue::pop`] blocks while it is empty and
 /// returns `None` once the queue is closed *and* drained. Built on
 /// `Mutex` + `Condvar` only, so it works wherever `std` does.
 #[cfg(feature = "parallel")]
@@ -147,14 +146,14 @@ impl<T> BoundedQueue<T> {
     ///
     /// # Panics
     ///
-    /// Panics if the queue was closed (a closed stage must not receive
-    /// further work — that would be a scheduler bug, not a data race).
+    /// Panics if the queue was closed (a closed queue must not receive
+    /// further work — that would be a caller bug, not a data race).
     pub fn push(&self, item: T) {
         let mut inner = self.inner.lock().expect("queue lock");
         while inner.items.len() >= self.capacity && !inner.closed {
             inner = self.not_full.wait(inner).expect("queue lock");
         }
-        assert!(!inner.closed, "push into a closed stage queue");
+        assert!(!inner.closed, "push into a closed queue");
         inner.items.push_back(item);
         self.not_empty.notify_one();
     }
@@ -275,43 +274,6 @@ impl<T> PopResult<T> {
     }
 }
 
-/// A counting semaphore bounding how many work units are in flight —
-/// the pipeline scheduler acquires one permit per live accelerator
-/// instance, so at most `k` arrays exist concurrently.
-#[cfg(feature = "parallel")]
-#[derive(Debug)]
-pub struct Semaphore {
-    permits: std::sync::Mutex<usize>,
-    available: std::sync::Condvar,
-}
-
-#[cfg(feature = "parallel")]
-impl Semaphore {
-    /// Creates a semaphore with `permits` permits (min 1).
-    #[must_use]
-    pub fn new(permits: usize) -> Self {
-        Semaphore {
-            permits: std::sync::Mutex::new(permits.max(1)),
-            available: std::sync::Condvar::new(),
-        }
-    }
-
-    /// Blocks until a permit is free, then takes it.
-    pub fn acquire(&self) {
-        let mut permits = self.permits.lock().expect("semaphore lock");
-        while *permits == 0 {
-            permits = self.available.wait(permits).expect("semaphore lock");
-        }
-        *permits -= 1;
-    }
-
-    /// Returns a permit.
-    pub fn release(&self) {
-        *self.permits.lock().expect("semaphore lock") += 1;
-        self.available.notify_one();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -405,28 +367,5 @@ mod tests {
             waiter.join().expect("waiter thread")
         });
         assert_eq!(got, PopResult::Item(42));
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn semaphore_bounds_concurrency() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let sem = Semaphore::new(2);
-        let live = AtomicUsize::new(0);
-        let peak = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    for _ in 0..50 {
-                        sem.acquire();
-                        let now = live.fetch_add(1, Ordering::SeqCst) + 1;
-                        peak.fetch_max(now, Ordering::SeqCst);
-                        live.fetch_sub(1, Ordering::SeqCst);
-                        sem.release();
-                    }
-                });
-            }
-        });
-        assert!(peak.load(Ordering::SeqCst) <= 2);
     }
 }

@@ -1023,7 +1023,7 @@ pub(crate) struct BindRef<'a> {
 /// A borrowed execution view — a program, its lowering schedule, and
 /// optional value bindings. The single execution core shared by
 /// [`Plan`] (no bindings), [`cache::Template`] (bindings for the
-/// template's value holes), and the pipeline scheduler's stage workers.
+/// template's value holes), and the pipeline scheduler's slice jobs.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ExecView<'a> {
     pub(crate) program: &'a Program,

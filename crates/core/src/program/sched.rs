@@ -8,21 +8,20 @@
 //! states that analytically; this module *executes* it. A
 //! [`PipelineScheduler`] takes one logical program, partitioned into
 //! **slices** (self-contained sub-programs; see [`partition_into`] /
-//! [`partition_by_outputs`]), and runs the slices through three stage
-//! workers connected by bounded queues, with at most `k` accelerator
-//! instances (arrays) in flight — the work-queue machinery shared with
-//! the tiled image kernels ([`crate::parallel`]).
+//! [`partition_by_outputs`]), and runs each slice as one job on the
+//! deterministic work queue the tiled image kernels use
+//! ([`crate::parallel::run_indexed_with`]), with at most `k` accelerator
+//! instances (arrays) in flight.
 //!
 //! Two granularities matter:
 //!
-//! * **Slices** are the unit of array allocation and thread handoff: each
-//!   slice executes on its own accelerator built by the caller's factory,
-//!   entering at the ❶ worker (leading encode steps), crossing to the ❷
-//!   worker (arithmetic), and retiring at the ❸ worker (trailing reads).
-//!   Mid-slice encode steps (e.g. bilinear's vertical select) ride the ❷
-//!   worker thread-wise but are still *attributed* to stage ❶ in the
-//!   model, so occupancy numbers follow the op semantics, not the thread
-//!   placement.
+//! * **Slices** are the unit of array allocation and of host scheduling:
+//!   each slice executes on its own accelerator built by the caller's
+//!   factory, and one job runs all of its steps — ❶ encodes, ❷
+//!   arithmetic, ❸ reads — in program order. A step's stage is an
+//!   *attribution* in the modeled timeline, not a thread placement, so
+//!   occupancy numbers follow the op semantics (a mid-slice encode such
+//!   as bilinear's vertical select counts as ❶ wherever it falls).
 //! * **Wavefronts** are the unit of pipeline initiation in the *modeled*
 //!   timeline: maximal op runs with no register live across their
 //!   boundary (from the planner's last-use analysis) — one per pixel in
@@ -37,26 +36,20 @@
 //!
 //! Everything observable is deterministic: slices execute their ops in
 //! program order on their own accelerator, results and ledgers are
-//! collected in slice order, and the report is computed from
-//! ledger-derived latencies — so threaded and sequential execution are
-//! bit-identical, and a pipelined image-kernel run is value- and
+//! collected in slice order, command traces retire into the
+//! instrumentation sink in slice order, and the report is computed from
+//! ledger-derived latencies — so every worker count is bit-identical to
+//! sequential execution, and a pipelined image-kernel run is value- and
 //! ledger-identical to the per-tile path it subsumes.
 
 use super::cache::{Bindings, Template};
-use super::{release_live_slots, ExecArena, ExecView, Op, Plan, PlanData, Program, Step, VReg};
+use super::{release_live_slots, ExecArena, Op, PlanData, Program, Step, VReg};
 use crate::cost::{CostLedger, WearSummary};
 use crate::engine::Accelerator;
 use crate::error::ImscError;
 use crate::instrument::SinkHandle;
 use reram::energy::ReramCosts;
 use std::ops::Range;
-
-// The pipeline hands accelerators between stage workers.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<Accelerator>();
-    assert_send::<ExecArena>();
-};
 
 /// The three pipeline stages of the paper's §III multi-array flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -275,8 +268,8 @@ pub fn partition_by_outputs(
     ))
 }
 
-/// One unit of pipelined work: a slice program the ❶ worker plans on
-/// admission (the uncached path), or a pre-compiled [`Template`] with
+/// One unit of pipelined work: a slice program its job plans before
+/// running it (the uncached path), or a pre-compiled [`Template`] with
 /// the slice's value [`Bindings`] (the plan cache's hit path — emit,
 /// optimize and plan are all skipped).
 #[derive(Debug, Clone, Copy)]
@@ -319,8 +312,8 @@ pub struct SliceOut {
     pub scout_ops: u64,
     /// Endurance summary of the slice accelerator's stream-row wear map.
     pub stream_wear: WearSummary,
-    /// Wall-clock nanoseconds the ❶ worker spent planning this slice
-    /// (0 on the cached path, which admits a pre-planned template).
+    /// Wall-clock nanoseconds the slice's job spent planning it (0 on
+    /// the cached path, which runs a pre-planned template).
     pub plan_ns: u64,
 }
 
@@ -510,8 +503,8 @@ pub struct PipelineRun {
     pub report: PipelineReport,
 }
 
-/// Step-level schedule metadata of one slice: stage attribution,
-/// wavefront membership, and the two thread-handoff points.
+/// Step-level schedule metadata of one slice: the stage and wavefront
+/// each plan step is attributed to.
 #[derive(Debug)]
 struct SliceMeta {
     /// Stage index per plan step (coalesced encode runs are ❶).
@@ -520,10 +513,6 @@ struct SliceMeta {
     wavefront: Vec<usize>,
     /// Number of wavefronts in the slice.
     wavefronts: usize,
-    /// End of the leading run of ❶ steps (first handoff).
-    sbs_end: usize,
-    /// Start of the trailing run of ❸ steps (second handoff).
-    s2b_start: usize,
 }
 
 impl SliceMeta {
@@ -548,76 +537,11 @@ impl SliceMeta {
                 wf += 1;
             }
         }
-        let sbs_end = stage
-            .iter()
-            .take_while(|&&s| s == StageKind::Sbs.index())
-            .count();
-        let trailing = stage
-            .iter()
-            .rev()
-            .take_while(|&&s| s == StageKind::S2b.index())
-            .count();
-        let s2b_start = (stage.len() - trailing).max(sbs_end);
         SliceMeta {
             stage,
             wavefront,
             wavefronts: wf,
-            sbs_end,
-            s2b_start,
         }
-    }
-
-    /// Step range executed by stage worker `phase`.
-    fn phase_range(&self, phase: usize) -> Range<usize> {
-        match phase {
-            0 => 0..self.sbs_end,
-            1 => self.sbs_end..self.s2b_start,
-            _ => self.s2b_start..self.stage.len(),
-        }
-    }
-}
-
-/// What a stage worker executes for one slice: a plan it produced on
-/// admission, or a shared pre-compiled template with the slice's
-/// bindings.
-enum Hold<'p> {
-    Planned(Plan<'p>),
-    Bound(&'p Template, &'p Bindings),
-}
-
-impl<'p> Hold<'p> {
-    fn view(&self) -> ExecView<'_> {
-        match self {
-            Hold::Planned(plan) => plan.view(),
-            Hold::Bound(t, b) => t.view(b),
-        }
-    }
-
-    fn program(&self) -> &'p Program {
-        match self {
-            Hold::Planned(plan) => plan.program(),
-            Hold::Bound(t, _) => t.program(),
-        }
-    }
-}
-
-/// One slice traveling through the stage workers.
-struct InFlight<'p> {
-    idx: usize,
-    hold: Hold<'p>,
-    meta: SliceMeta,
-    acc: Accelerator,
-    arena: ExecArena,
-    out: Vec<f64>,
-    /// Per-wavefront ledger-derived stage latencies, ns.
-    wf_ns: Vec<[f64; StageKind::COUNT]>,
-    /// Planning time paid on admission (0 for bound templates).
-    plan_ns: u64,
-}
-
-impl std::fmt::Debug for InFlight<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("InFlight").field("idx", &self.idx).finish()
     }
 }
 
@@ -627,122 +551,72 @@ struct Finished {
     wf_ns: Vec<[f64; StageKind::COUNT]>,
 }
 
-fn prepare<'p>(
-    idx: usize,
-    slice: SliceExec<'p>,
-    acc: Accelerator,
-    mut arena: ExecArena,
-) -> Result<InFlight<'p>, ImscError> {
-    let (hold, plan_ns) = match slice {
+/// Runs one slice end to end on its accelerator: plans it (or checks its
+/// bindings), executes every step in program order — attributing each
+/// step's ledger latency delta to the step's *stage kind* and wavefront
+/// in the modeled timeline — and snapshots the observables. On failure
+/// the rows the slice still holds are released.
+fn run_slice(
+    slice: SliceExec<'_>,
+    acc: &mut Accelerator,
+    arena: &mut ExecArena,
+    costs: &ReramCosts,
+) -> Result<Finished, ImscError> {
+    let plan;
+    let (view, plan_ns) = match slice {
         SliceExec::Fresh(p) => {
             let t0 = std::time::Instant::now();
-            let plan = p.plan()?;
-            (Hold::Planned(plan), t0.elapsed().as_nanos() as u64)
+            plan = p.plan()?;
+            let plan_ns = t0.elapsed().as_nanos() as u64;
+            (plan.view(), plan_ns)
         }
         SliceExec::Bound(t, b) => {
             t.check_binds(b)?;
-            (Hold::Bound(t, b), 0)
+            (t.view(b), 0)
         }
     };
-    let meta = {
-        let view = hold.view();
-        SliceMeta::of(view.program, view.data)
-    };
-    let program = hold.program();
-    arena.reset(program.regs);
-    let wf_ns = vec![[0.0; StageKind::COUNT]; meta.wavefronts];
-    let outputs = program.outputs;
-    Ok(InFlight {
-        idx,
-        hold,
-        meta,
-        acc,
-        arena,
-        out: Vec::with_capacity(outputs),
+    let meta = SliceMeta::of(view.program, view.data);
+    let slots = arena.reset(view.program.regs);
+    let mut outputs = Vec::with_capacity(view.program.outputs);
+    let mut wf_ns = vec![[0.0; StageKind::COUNT]; meta.wavefronts];
+    for s in 0..meta.stage.len() {
+        let before = acc.ledger().latency_ns(costs);
+        if let Err(e) = view.exec_step(s, acc, slots, &mut outputs) {
+            release_live_slots(acc, slots);
+            return Err(e);
+        }
+        wf_ns[meta.wavefront[s]][meta.stage[s]] += acc.ledger().latency_ns(costs) - before;
+    }
+    Ok(Finished {
+        out: SliceOut {
+            outputs,
+            ledger: *acc.ledger(),
+            cache_hits: acc.encode_cache_hits(),
+            rn_epochs: acc.rn_epoch(),
+            faults_injected: acc.faults_injected(),
+            scout_ops: acc.scout_ops_executed(),
+            stream_wear: acc.stream_wear(),
+            plan_ns,
+        },
         wf_ns,
-        plan_ns,
     })
 }
 
-/// Executes one stage worker's step range of a slice, attributing each
-/// step's ledger latency delta to the step's *stage kind* (not its
-/// worker) in the wavefront timeline.
-fn exec_phase(f: &mut InFlight<'_>, phase: usize, costs: &ReramCosts) -> Result<(), ImscError> {
-    let InFlight {
-        hold,
-        meta,
-        acc,
-        arena,
-        out,
-        wf_ns,
-        ..
-    } = f;
-    let view = hold.view();
-    for s in meta.phase_range(phase) {
-        let before = acc.ledger().latency_ns(costs);
-        view.exec_step(s, acc, &mut arena.slots, out)?;
-        let delta = acc.ledger().latency_ns(costs) - before;
-        wf_ns[meta.wavefront[s]][meta.stage[s]] += delta;
-    }
-    Ok(())
-}
-
-/// Releases the rows a failed slice still holds (its accelerator may be
-/// caller-retained via the factory's clone semantics; cheap regardless).
-fn abandon(f: &mut InFlight<'_>) {
-    release_live_slots(&mut f.acc, &mut f.arena.slots);
-}
-
-/// Retires one slice: drains its accelerator's recorded command trace
-/// into the instrumentation sink at dispatch slot `seq` (slices retire in
-/// slice order, so the replay stream stays dispatch-ordered and the
-/// sink's buffering stays bounded by one slice), then snapshots the
-/// observables.
-fn finish(f: InFlight<'_>, sink: Option<&SinkHandle>, seq: usize) -> (Finished, ExecArena) {
-    let InFlight {
-        mut acc,
-        arena,
-        out,
-        wf_ns,
-        plan_ns,
-        ..
-    } = f;
-    if let Some(sink) = sink {
-        sink.drain_into(seq, &mut acc);
-    }
-    (
-        Finished {
-            out: SliceOut {
-                outputs: out,
-                ledger: *acc.ledger(),
-                cache_hits: acc.encode_cache_hits(),
-                rn_epochs: acc.rn_epoch(),
-                faults_injected: acc.faults_injected(),
-                scout_ops: acc.scout_ops_executed(),
-                stream_wear: acc.stream_wear(),
-                plan_ns,
-            },
-            wf_ns,
-        },
-        arena,
-    )
-}
-
-/// The cross-array pipeline scheduler: executes program slices across
-/// three stage workers with a bounded inter-stage queue and at most
-/// `arrays` accelerator instances in flight. See the [module docs]
-/// (self) for the execution and measurement model.
+/// The cross-array pipeline scheduler: executes program slices as jobs
+/// on the deterministic work queue ([`crate::parallel::run_indexed_with`])
+/// with at most `arrays` accelerator instances in flight. See the
+/// [module docs](self) for the execution and measurement model.
 #[derive(Debug, Clone)]
 pub struct PipelineScheduler {
     arrays: usize,
-    queue_depth: usize,
+    workers: usize,
     costs: ReramCosts,
     sink: Option<SinkHandle>,
 }
 
 impl PipelineScheduler {
     /// Creates a scheduler bounded to `arrays` in-flight accelerator
-    /// instances, with inter-stage queues of depth 2 and the calibrated
+    /// instances, with one worker per available core and the calibrated
     /// cost constants.
     ///
     /// # Panics
@@ -754,16 +628,19 @@ impl PipelineScheduler {
         assert!(arrays > 0, "at least one array required");
         PipelineScheduler {
             arrays,
-            queue_depth: 2,
+            workers: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             costs: ReramCosts::calibrated(),
             sink: None,
         }
     }
 
-    /// Sets the bounded inter-stage queue depth (min 1).
+    /// Sets the number of work-queue workers (min 1). A run uses
+    /// `min(arrays, slices, workers)` of them, so at most `arrays`
+    /// accelerators are ever in flight. Without the `parallel` feature
+    /// every run is sequential regardless.
     #[must_use]
-    pub fn queue_depth(mut self, depth: usize) -> Self {
-        self.queue_depth = depth.max(1);
+    pub fn workers(mut self, workers: usize) -> Self {
+        self.workers = workers.max(1);
         self
     }
 
@@ -778,7 +655,9 @@ impl PipelineScheduler {
     /// trace (including work later discarded by fault-domain
     /// retirement) is drained into it in dispatch order as the slice
     /// retires, so nvsim replay runs incrementally alongside the
-    /// schedule. Accelerators built by the factory must record traces
+    /// schedule. A finished slice waits for every lower slice to drain
+    /// first, which bounds the sink's buffering by one slice.
+    /// Accelerators built by the factory must record traces
     /// ([`crate::engine::AcceleratorBuilder::record_trace`]) for the
     /// sink to see anything.
     #[must_use]
@@ -794,10 +673,10 @@ impl PipelineScheduler {
     }
 
     /// Executes `slices` pipelined, building each slice's accelerator
-    /// with `factory(slice_index)`. Results come back in slice order and
-    /// are bit-identical however the stage workers interleave (and to a
-    /// build without the `parallel` feature, which runs the same
-    /// schedule sequentially).
+    /// with `factory(slice_index)`. Each slice is one job on the work
+    /// queue; results come back in slice order and are bit-identical for
+    /// every worker count (and to a build without the `parallel`
+    /// feature, which runs the jobs sequentially).
     ///
     /// # Errors
     ///
@@ -842,7 +721,7 @@ impl PipelineScheduler {
         }
     }
 
-    /// Executes slices through the stage workers and returns every
+    /// Runs one job per slice on the work queue and returns every
     /// slice's finished result in slice order (the shared core of
     /// [`Self::run`] and [`Self::run_with_domains`]). `seq_base` offsets
     /// the instrumentation sink's dispatch slots so successive rounds
@@ -857,162 +736,32 @@ impl PipelineScheduler {
         F: Fn(usize) -> Result<Accelerator, E> + Sync,
         E: From<ImscError> + Send,
     {
-        #[cfg(feature = "parallel")]
-        {
-            if slices.len() > 1 {
-                return self.run_threaded(slices, factory, seq_base);
+        let workers = self.workers.min(self.arrays);
+        crate::parallel::run_indexed_with(slices.len(), workers, ExecArena::new, |arena, k| {
+            // Claimed before the factory runs, so a failing job still
+            // releases its slot and no later slice waits on it.
+            let slot = self.sink.as_ref().map(|s| s.slot(seq_base + k));
+            let mut acc = factory(k)?;
+            let fin = run_slice(slices[k], &mut acc, arena, &self.costs).map_err(E::from)?;
+            if let Some(slot) = slot {
+                slot.drain(&mut acc);
             }
-        }
-        self.run_sequential(slices, factory, seq_base)
-    }
-
-    fn run_sequential<E, F>(
-        &self,
-        slices: &[SliceExec<'_>],
-        factory: &F,
-        seq_base: usize,
-    ) -> Result<Vec<Finished>, E>
-    where
-        F: Fn(usize) -> Result<Accelerator, E> + Sync,
-        E: From<ImscError> + Send,
-    {
-        let mut arena = ExecArena::new();
-        let mut fins = Vec::with_capacity(slices.len());
-        for (idx, &slice) in slices.iter().enumerate() {
-            let acc = factory(idx)?;
-            let mut f = prepare(idx, slice, acc, std::mem::take(&mut arena)).map_err(E::from)?;
-            let run = (0..StageKind::COUNT).try_for_each(|ph| exec_phase(&mut f, ph, &self.costs));
-            if let Err(e) = run {
-                abandon(&mut f);
-                return Err(E::from(e));
-            }
-            let (fin, used) = finish(f, self.sink.as_ref(), seq_base + idx);
-            arena = used;
-            fins.push(fin);
-        }
-        Ok(fins)
-    }
-
-    #[cfg(feature = "parallel")]
-    fn run_threaded<E, F>(
-        &self,
-        slices: &[SliceExec<'_>],
-        factory: &F,
-        seq_base: usize,
-    ) -> Result<Vec<Finished>, E>
-    where
-        F: Fn(usize) -> Result<Accelerator, E> + Sync,
-        E: From<ImscError> + Send,
-    {
-        use crate::parallel::{BoundedQueue, Semaphore};
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Mutex;
-
-        let n = slices.len();
-        let q01: BoundedQueue<InFlight<'_>> = BoundedQueue::new(self.queue_depth);
-        let q12: BoundedQueue<InFlight<'_>> = BoundedQueue::new(self.queue_depth);
-        let tokens = Semaphore::new(self.arrays);
-        let abort = AtomicBool::new(false);
-        let arena_pool: Mutex<Vec<ExecArena>> = Mutex::new(Vec::new());
-        let slots: Vec<Mutex<Option<Result<Finished, E>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let costs = &self.costs;
-        let store = |idx: usize, r: Result<Finished, E>| {
-            *slots[idx].lock().expect("slice slot lock") = Some(r);
-        };
-        // A stage worker's failure path: record, return the array token,
-        // and stop admitting new slices. Slices already admitted keep
-        // flowing (they are ahead in the queues), so every slice below
-        // the lowest failure still completes.
-        let fail = |idx: usize, e: E| {
-            store(idx, Err(e));
-            tokens.release();
-            abort.store(true, Ordering::Relaxed);
-        };
-
-        std::thread::scope(|scope| {
-            // ❶ SBS worker: admission (bounded by the array tokens),
-            // accelerator construction, planning, leading encode steps.
-            scope.spawn(|| {
-                for (idx, &slice) in slices.iter().enumerate() {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    tokens.acquire();
-                    let arena = arena_pool
-                        .lock()
-                        .expect("arena pool lock")
-                        .pop()
-                        .unwrap_or_default();
-                    let prepped = factory(idx)
-                        .and_then(|acc| prepare(idx, slice, acc, arena).map_err(E::from));
-                    match prepped {
-                        Ok(mut f) => match exec_phase(&mut f, 0, costs) {
-                            Ok(()) => q01.push(f),
-                            Err(e) => {
-                                abandon(&mut f);
-                                fail(idx, E::from(e));
-                            }
-                        },
-                        Err(e) => fail(idx, e),
-                    }
-                }
-                q01.close();
-            });
-            // ❷ arithmetic worker.
-            scope.spawn(|| {
-                while let Some(mut f) = q01.pop() {
-                    match exec_phase(&mut f, 1, costs) {
-                        Ok(()) => q12.push(f),
-                        Err(e) => {
-                            abandon(&mut f);
-                            fail(f.idx, E::from(e));
-                        }
-                    }
-                }
-                q12.close();
-            });
-            // ❸ S2B worker: trailing reads, retirement.
-            scope.spawn(|| {
-                while let Some(mut f) = q12.pop() {
-                    match exec_phase(&mut f, 2, costs) {
-                        Ok(()) => {
-                            let idx = f.idx;
-                            let (fin, arena) = finish(f, self.sink.as_ref(), seq_base + idx);
-                            arena_pool.lock().expect("arena pool lock").push(arena);
-                            store(idx, Ok(fin));
-                            tokens.release();
-                        }
-                        Err(e) => {
-                            abandon(&mut f);
-                            fail(f.idx, E::from(e));
-                        }
-                    }
-                }
-            });
-        });
-
-        let mut fins = Vec::with_capacity(n);
-        for slot in slots {
-            match slot.into_inner().expect("slice slot lock") {
-                Some(Ok(fin)) => fins.push(fin),
-                Some(Err(e)) => return Err(e),
-                None => unreachable!("unadmitted slice without a preceding failure"),
-            }
-        }
-        Ok(fins)
+            Ok(fin)
+        })
     }
 
     /// Executes slices across the farm with each array treated as a
-    /// retirable **fault domain**. Slices are dealt round-robin over the
-    /// currently healthy arrays and run through the ordinary pipelined
-    /// machinery; after each round, per-array health (cumulative injected
-    /// faults per scouting op, from the slice accelerators' own
-    /// injectors) is re-evaluated **in slice order**. When an array
-    /// crosses `policy`'s threshold it is retired: the triggering slice's
-    /// result and every later same-round result from that array are
-    /// discarded and re-dealt onto the survivors in the next round. The
-    /// farm degrades gracefully until no healthy array remains.
+    /// retirable **fault domain**. Retirement is a placement policy over
+    /// the same work queue [`Self::run`] uses: each round deals the
+    /// pending slices round-robin over the currently healthy arrays and
+    /// runs them as ordinary slice jobs; after each round, per-array
+    /// health (cumulative injected faults per scouting op, from the
+    /// slice accelerators' own injectors) is re-evaluated **in slice
+    /// order**. When an array crosses `policy`'s threshold it is retired:
+    /// the triggering slice's result and every later same-round result
+    /// from that array are discarded and re-dealt onto the survivors in
+    /// the next round. The farm degrades gracefully until no healthy
+    /// array remains.
     ///
     /// `factory(slice, array)` builds the accelerator for a slice *on a
     /// given array* — heterogeneous per-array fault rates enter here.

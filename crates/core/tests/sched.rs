@@ -5,8 +5,9 @@
 
 use imsc::cost::ScOperation;
 use imsc::engine::Accelerator;
+use imsc::instrument::{ReplaySummary, SinkHandle, REPLAY_BANKS};
 use imsc::pipeline::PipelineModel;
-use imsc::program::sched::{self, PipelineScheduler, RetirementPolicy};
+use imsc::program::sched::{self, PipelineRun, PipelineScheduler, RetirementPolicy};
 use imsc::program::Program;
 use imsc::{ExecArena, ImscError, ImsngVariant};
 use reram::energy::ReramCosts;
@@ -285,13 +286,12 @@ fn scheduler_reports_the_lowest_indexed_failure() {
 
 #[test]
 fn mid_run_failures_drain_the_pipeline_without_deadlock() {
-    // Far more slices than bounded-queue slots, with failures injected
-    // at three admission points — one early, two late. The stage
-    // workers must drain in-flight wavefronts, release array tokens,
-    // and surface the lowest-indexed error instead of hanging on a full
-    // queue or a leaked semaphore token. (Under `--features parallel`
-    // this exercises the threaded admission loop; without it, the
-    // sequential fallback must agree on the error choice.)
+    // Far more slices than workers, with failures injected at three
+    // slice jobs — one early, two late. Jobs already claimed must
+    // finish, and the lowest-indexed error must surface instead of a
+    // hang. (Under `--features parallel` this exercises the threaded
+    // work queue; without it, the sequential fallback must agree on the
+    // error choice.)
     let program = sng_bound_program(32);
     let slices = sched::partition_into(&program, 32).unwrap();
     let err = PipelineScheduler::new(2)
@@ -335,4 +335,94 @@ fn partition_preserves_the_op_stream() {
     assert_eq!(total_ops, p.len());
     assert_eq!(total_outputs, p.outputs());
     assert_eq!(total_regs, p.regs());
+}
+
+fn build_traced(seed: u64, bank: usize) -> Result<Accelerator, ImscError> {
+    Accelerator::builder()
+        .stream_len(N)
+        .segment_bits(M)
+        .seed(seed)
+        .record_trace(true)
+        .trace_bank(bank % REPLAY_BANKS)
+        .build()
+}
+
+/// A pipelined run over four arrays at a pinned worker count, with a
+/// replay sink attached.
+fn traced_run(slices: &[Program], workers: usize) -> (PipelineRun, ReplaySummary) {
+    let sink = SinkHandle::for_stream_len(N).unwrap();
+    let run = PipelineScheduler::new(4)
+        .workers(workers)
+        .sink(sink.clone())
+        .run(slices, |i| build_traced(500 + i as u64, i))
+        .unwrap();
+    (run, sink.finish().unwrap())
+}
+
+#[test]
+fn every_worker_count_matches_sequential_execution_with_a_sink() {
+    let mut p = sng_bound_program(12);
+    for i in 0..6u8 {
+        let pair = p.encode_correlated(&[Fixed::from_u8(50 + i), Fixed::from_u8(220)]);
+        let q = p.divide(pair[0], pair[1]);
+        p.read(q);
+    }
+    let slices = sched::partition_into(&p, 9).unwrap();
+    let (want, want_replay) = traced_run(&slices, 1);
+    assert!(want_replay.commands > 0);
+    for workers in [2, 4] {
+        let (got, replay) = traced_run(&slices, workers);
+        assert_eq!(got.report, want.report, "{workers} workers: report");
+        assert_eq!(got.slices.len(), want.slices.len());
+        for (i, (g, w)) in got.slices.iter().zip(&want.slices).enumerate() {
+            assert_eq!(g.outputs, w.outputs, "{workers} workers: slice {i} outputs");
+            assert_eq!(g.ledger, w.ledger, "{workers} workers: slice {i} ledger");
+            assert_eq!(g.rn_epochs, w.rn_epochs, "{workers} workers: slice {i}");
+            assert_eq!(g.cache_hits, w.cache_hits, "{workers} workers: slice {i}");
+            assert_eq!(g.scout_ops, w.scout_ops, "{workers} workers: slice {i}");
+            assert_eq!(g.stream_wear, w.stream_wear, "{workers} workers: slice {i}");
+        }
+        assert_eq!(replay, want_replay, "{workers} workers: replayed stream");
+        // Slices drain in order at every worker count, so even the
+        // buffering diagnostic is the largest single slice's trace.
+        assert_eq!(
+            replay.peak_buffered_commands, want_replay.peak_buffered_commands,
+            "{workers} workers: buffering peak"
+        );
+    }
+}
+
+#[test]
+fn mid_run_failures_with_a_sink_release_their_slots() {
+    // Four workers wait on the sink's dispatch order. The failing
+    // slices never drain a trace, so they must release their slots, or
+    // every later slice would wait on them forever. Under `--features
+    // parallel` the lowest failure first waits for slice 12's job to
+    // start, so a later slice is always claimed and waiting to drain
+    // when it fails.
+    #[cfg(feature = "parallel")]
+    let later_claimed = std::sync::Barrier::new(2);
+    let program = sng_bound_program(32);
+    let slices = sched::partition_into(&program, 32).unwrap();
+    let sink = SinkHandle::for_stream_len(N).unwrap();
+    let err = PipelineScheduler::new(4)
+        .workers(4)
+        .sink(sink.clone())
+        .run(&slices, |i| {
+            #[cfg(feature = "parallel")]
+            if i == 11 || i == 12 {
+                later_claimed.wait();
+            }
+            if i == 17 || i == 23 {
+                Err(ImscError::InvalidConfig("late injected failure"))
+            } else if i == 11 {
+                Err(ImscError::InvalidConfig("lowest injected failure"))
+            } else {
+                build_traced(i as u64, i)
+            }
+        })
+        .unwrap_err();
+    assert!(matches!(err, ImscError::InvalidConfig(m) if m.contains("lowest")));
+    // Every slice below the failure drained into the sink.
+    assert!(sink.finish().unwrap().commands > 0);
 }

@@ -26,14 +26,17 @@
 //! * [`Schedule::Pipelined`] — one *logical* program for the whole image,
 //!   partitioned at tile-shaped output boundaries by
 //!   `imsc::program::sched` and executed by the cross-array
-//!   [`PipelineScheduler`]: slices flow through the ❶ SBS / ❷ arithmetic
-//!   / ❸ S2B stage workers with a bounded inter-stage queue and at most
-//!   `arrays` accelerator instances in flight. The slice programs are
-//!   op-identical to per-tile emission and each slice's accelerator uses
-//!   the same per-tile seed, so pixels, ledgers, and RN epochs are
-//!   bit-identical to the per-tile path — the pipelined run additionally
-//!   reports measured stage occupancy and initiation interval
-//!   ([`ScRunStats::pipeline`]).
+//!   [`PipelineScheduler`]: each slice is one job on the same work queue
+//!   as per-tile execution, with at most `arrays` accelerator instances
+//!   in flight, and its steps are attributed to the ❶ SBS / ❷ arithmetic
+//!   / ❸ S2B stages in a ledger-derived pipeline timeline. The slice
+//!   programs are op-identical to per-tile emission and each slice's
+//!   accelerator uses the same per-tile seed, so pixels, ledgers, and RN
+//!   epochs are bit-identical to the per-tile path — the pipelined run
+//!   additionally reports measured stage occupancy and initiation
+//!   interval ([`ScRunStats::pipeline`]). A frame's slices are compiled
+//!   serially (whole-frame emit and partition, or per-range tapes on the
+//!   cached path) before any of them runs.
 //!
 //! With a template cache attached ([`ScReramConfig::plan_cache`]), both
 //! schedules stop compiling per tile: each tile's emitter runs once as a
@@ -135,9 +138,10 @@ pub enum Schedule {
     #[default]
     PerTile,
     /// Cross-array pipelining: tile-shaped slices of one logical program
-    /// flow through the ❶/❷/❸ stage workers with at most `arrays`
-    /// accelerator instances in flight. Bit-identical results to
-    /// [`Schedule::PerTile`], plus a measured [`PipelineReport`].
+    /// run as work-queue jobs with at most `arrays` accelerator instances
+    /// in flight. Bit-identical results to [`Schedule::PerTile`], plus a
+    /// [`PipelineReport`] of the ❶/❷/❸ stage timeline measured from the
+    /// slices' cost ledgers.
     Pipelined {
         /// Accelerator instances (arrays) in flight; must be nonzero.
         arrays: usize,
@@ -283,7 +287,8 @@ fn tile_ranges(height: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
-/// Worker-thread count for tile jobs. `IMGPROC_TILE_THREADS` overrides
+/// Worker-thread count for tile and pipelined-slice jobs.
+/// `IMGPROC_TILE_THREADS` overrides
 /// (useful to force the threaded path on single-core CI or to pin thread
 /// counts); without the `parallel` feature everything is sequential.
 fn tile_threads(jobs: usize) -> usize {
@@ -437,7 +442,7 @@ fn cached_template<E: TileEmitter>(
 /// emit + optimize + plan), run it, and package the observables. The
 /// shared tile body of the per-tile schedule's single-frame and batched
 /// paths; `slot` is the trace sink's dispatch slot (the tile's position
-/// in the run's drain order).
+/// in the run's drain order), which the tile retires into in order.
 #[allow(clippy::too_many_arguments)]
 fn exec_tile<E: TileEmitter>(
     arena: &mut ExecArena,
@@ -451,6 +456,9 @@ fn exec_tile<E: TileEmitter>(
     sink: Option<&SinkHandle>,
     slot: usize,
 ) -> Result<TileOut, ImgError> {
+    // Claimed first, so a failing tile still releases its slot and no
+    // later tile waits on it.
+    let sink_slot = sink.map(|s| s.slot(slot));
     let mut acc = cfg.build_for_tile_with(tile, emitter.default_policy())?;
     let mut compile = CompileStats::default();
     let (values, outcome) = match cfg.plan_cache.as_deref() {
@@ -472,10 +480,10 @@ fn exec_tile<E: TileEmitter>(
             (plan.execute_in(&mut acc, arena)?, None)
         }
     };
-    // Drain this tile's sub-trace as soon as the tile retires (workers
-    // may finish out of order, the sink reorders).
-    if let Some(s) = sink {
-        s.drain_into(slot, &mut acc);
+    // Drain this tile's sub-trace once every lower tile has, so the
+    // sink buffers at most one tile.
+    if let Some(sink_slot) = sink_slot {
+        sink_slot.drain(&mut acc);
     }
     Ok(tile_out(values, &acc, compile, outcome))
 }
@@ -643,7 +651,7 @@ fn run_pipelined<E: TileEmitter>(
         return Ok((Vec::new(), RunMeta::default()));
     }
     let execs: Vec<SliceExec<'_>> = units.execs();
-    let mut scheduler = PipelineScheduler::new(arrays);
+    let mut scheduler = PipelineScheduler::new(arrays).workers(tile_threads(execs.len()));
     if let Some(s) = &sink {
         scheduler = scheduler.sink(s.clone());
     }
@@ -952,7 +960,7 @@ fn run_batch_pipelined<E: TileEmitter>(
             })
             .collect());
     }
-    let scheduler = PipelineScheduler::new(arrays);
+    let scheduler = PipelineScheduler::new(arrays).workers(tile_threads(execs.len()));
     let run = if cfg.retirement.is_some() || cfg.array_faults.is_some() {
         scheduler
             .run_with_domains_exec(

@@ -157,8 +157,8 @@ fn replay_does_not_perturb_pixels_or_ledger() {
 /// Satellite: streaming replay must stay bounded — per-slice sub-traces
 /// are drained into the simulator as slices retire, so the peak number
 /// of buffered commands is one slice's worth, not the whole frame's.
-/// The bound is a pipelined-schedule property: parallel per-tile workers
-/// finish in any order, so their peak is a diagnostic with no bound.
+/// [`per_tile_replay_buffering_is_bounded_by_one_tile`] pins the same
+/// bound on the per-tile schedule.
 #[test]
 fn pipelined_replay_buffering_is_bounded_by_one_slice() {
     let img = synth::value_noise(8, 32, 3, 7); // 4 row tiles
@@ -170,6 +170,26 @@ fn pipelined_replay_buffering_is_bounded_by_one_slice() {
     // Slices retire in order: the buffer never holds more than the
     // largest single slice (~1/4 of the stream here; assert half with
     // headroom). Regression guard against re-materializing the frame.
+    assert!(
+        replay.peak_buffered_commands < replay.commands / 2,
+        "peak {} vs total {}: streaming bound lost",
+        replay.peak_buffered_commands,
+        replay.commands
+    );
+}
+
+/// The per-tile twin of the pipelined bound: tile workers may finish in
+/// any order, but each waits for every lower tile to drain before
+/// draining its own sub-trace, so the buffer holds at most one tile
+/// whatever the worker count.
+#[test]
+fn per_tile_replay_buffering_is_bounded_by_one_tile() {
+    let img = synth::value_noise(8, 32, 3, 7); // 4 row tiles
+    let cfg = base_cfg(3).with_schedule(Schedule::PerTile);
+    let (_, stats) = edge::sc_reram_with_stats(&img, &cfg).unwrap();
+    assert_eq!(stats.tiles, 4);
+    let replay = stats.replay.unwrap();
+    assert!(replay.peak_buffered_commands > 0);
     assert!(
         replay.peak_buffered_commands < replay.commands / 2,
         "peak {} vs total {}: streaming bound lost",

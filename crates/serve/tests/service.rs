@@ -2,7 +2,7 @@
 //! coalescing, overload shedding, shard-retirement degradation, and
 //! clean TCP shutdown.
 
-use imgproc::request::{self, KernelRequest};
+use imgproc::request::{self, Backend, KernelRequest};
 use imgproc::{synth, ScReramConfig, Schedule};
 use imsc::PlanCache;
 use serve::{Client, Outcome, Server, Service, ServiceConfig, ShedReason, Status};
@@ -174,6 +174,99 @@ fn shard_retirement_degrades_instead_of_failing() {
     assert!(report.retired_arrays >= 1, "pathological shard retired");
     service.shutdown();
     assert_eq!(service.stats().failed, 0);
+}
+
+/// One request of each kernel, with content drawn from `seed`.
+fn kernel_mix(seed: u64) -> [KernelRequest; 4] {
+    let app = synth::app_images(16, 16, seed);
+    let composite = imgproc::compositing::software(&app.foreground, &app.background, &app.alpha)
+        .expect("app images share one size");
+    [
+        edge_req(16, seed),
+        KernelRequest::Bilinear {
+            src: synth::value_noise(8, 8, 3, seed),
+            factor: 2,
+        },
+        KernelRequest::Compositing {
+            foreground: app.foreground.clone(),
+            background: app.background.clone(),
+            alpha: app.alpha,
+        },
+        KernelRequest::Matting {
+            image: composite,
+            background: app.background,
+            foreground: app.foreground,
+        },
+    ]
+}
+
+/// Faults driven through the whole service: a pipelined farm with one
+/// pathological array and a retirement policy serves a coalesced mix of
+/// all four kernels. Every request completes, and its quality stays
+/// within a few dB of the same request on a healthy farm — the farm
+/// degrades, it never errors.
+#[test]
+fn faulty_farm_serves_every_kernel_within_a_psnr_floor() {
+    // Fault injection forces the optimizer off; pin it rather than
+    // inherit an `IMSC_OPTIMIZE` override.
+    let healthy = ScReramConfig::new(64, 13)
+        .with_schedule(Schedule::Pipelined { arrays: 3 })
+        .with_retirement(imsc::RetirementPolicy {
+            max_faults_per_op: 0.5,
+            min_ops: 64,
+        })
+        .with_optimize(imsc::Optimize::Off);
+    let faulty = healthy.with_array_faults(1, reram::faults::FaultRates::uniform(0.05));
+    let service = Service::start(ServiceConfig {
+        engine: faulty,
+        batch_window: Duration::from_millis(5),
+        max_batch: 8,
+        default_deadline: Duration::from_secs(3600),
+        ..ServiceConfig::default()
+    })
+    .expect("service starts");
+    // Grouped by kernel: the batcher coalesces consecutive same-shape
+    // requests, so retirement also runs on multi-frame batches.
+    let mut reqs: Vec<KernelRequest> = (0..6).flat_map(kernel_mix).collect();
+    reqs.sort_by_key(KernelRequest::kernel_name);
+    assert!(reqs.len() >= 24);
+    let tickets: Vec<_> = reqs
+        .iter()
+        .map(|r| service.submit(r.clone()).expect("valid request"))
+        .collect();
+    let mut retired = 0usize;
+    for (req, ticket) in reqs.iter().zip(tickets) {
+        let kernel = req.kernel_name();
+        let done = ticket.wait();
+        let Outcome::Done(resp) = done.outcome else {
+            panic!(
+                "{kernel}: a faulty farm must degrade, not fail: {:?}",
+                done.outcome
+            );
+        };
+        let report = resp.stats.and_then(|s| s.pipeline);
+        retired = retired.max(report.expect("pipelined run reports").retired_arrays);
+        let reference = request::run_on(req, &Backend::Software, &healthy)
+            .expect("software run")
+            .pixels;
+        let healthy_px = request::run(req, &healthy).expect("healthy run").pixels;
+        let floor = imgproc::metrics::psnr(&healthy_px, &reference).unwrap() - 3.0;
+        let got = imgproc::metrics::psnr(&resp.pixels, &reference).unwrap();
+        assert!(
+            got >= floor,
+            "{kernel}: PSNR {got:.2} dB under the {floor:.2} dB floor"
+        );
+    }
+    assert!(retired >= 1, "the pathological array is retired");
+    service.shutdown();
+    let stats = service.stats();
+    assert_eq!(stats.failed, 0);
+    assert_eq!(stats.served, reqs.len() as u64);
+    assert!(
+        stats.batches < stats.served,
+        "same-kernel runs coalesce, so retirement runs on batches ({} batches)",
+        stats.batches
+    );
 }
 
 /// Admission rejects invalid requests and deep-conflict configurations

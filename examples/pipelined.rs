@@ -1,7 +1,8 @@
 //! Cross-array pipelined execution demo: one logical program, sliced at
-//! clean register-lifetime cuts and run through the ❶ SBS / ❷ arithmetic
-//! / ❸ S2B stage workers — the executable form of the Fig. 5 throughput
-//! model — then the same scheduler driving a real image kernel.
+//! clean register-lifetime cuts and run as work-queue jobs whose steps
+//! are timed into the ❶ SBS / ❷ arithmetic / ❸ S2B stages — the
+//! executable form of the Fig. 5 throughput model — then the same
+//! scheduler driving a real image kernel.
 //!
 //! Run with `cargo run --release --example pipelined`.
 

@@ -48,9 +48,9 @@ step "cargo test -q" cargo test -q
 # default features ever stop enabling it (the determinism tests force
 # multi-worker runs via IMGPROC_TILE_THREADS, so this is meaningful on
 # single-core machines too). The imsc leg is the only build that runs
-# the threaded pipeline scheduler's *failure-path* tests (stage-worker
-# abort, token bookkeeping, lowest-indexed-error semantics) and the
-# BoundedQueue/Semaphore unit tests.
+# the threaded pipeline scheduler's *failure-path* tests (slot release
+# on the in-order replay drain, lowest-indexed-error semantics) and the
+# BoundedQueue unit tests.
 step "cargo test -q -p imsc --features parallel" \
     cargo test -q -p imsc --features parallel
 step "cargo test -q -p imgproc --features parallel" \
